@@ -1,17 +1,14 @@
 //! Lane-batch bench: an 8-lane fig13-shaped batch (one decoded trace,
-//! one wake heap, batched controller service) against the same eight
-//! cells run the pre-lane way — eight sequential single-lane systems,
-//! each re-decoding its own trace on the legacy service path.
+//! one wake heap) against the same eight cells run the pre-lane way —
+//! eight sequential single-lane systems, each re-decoding its own
+//! trace.
 //!
 //! Both sides simulate the identical eight `(defense, NRH)` cells of
-//! one quick-scale four-core mix, so the printed `speedup` line is the
-//! honest per-sweep win. Measured on the development container it sits
-//! around 1.5×: the shared decode eliminates all redundant trace work
-//! and the batched controller service (verdict carry-over plus the
-//! arrival fast path) absorbs roughly half of all scheduler wakes, but
-//! the remaining full FR-FCFS scans dominate the wall clock, so the
-//! sweep does not approach the 3× that pure decode amortization would
-//! suggest.
+//! one quick-scale four-core mix on the controller's one scheduler, so
+//! the printed `speedup` line is the honest per-sweep win of the lane
+//! engine alone: shared trace decode and cache warmth. FR-FCFS scans
+//! dominate both sides' wall clock; on a 2-vCPU VM the line reads
+//! 0.9–1.3× from run to run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,8 +45,8 @@ fn defense_cfg(defense: DefenseKind, nrh: u32) -> DefenseConfig {
     DefenseConfig::for_threshold(defense, nrh, &DramTiming::ddr5_4800())
 }
 
-/// One cell the pre-lane way: its own system on the legacy service
-/// path, its own [`SyntheticApp`] decode. Returns total instructions
+/// One cell the pre-lane way: its own system, its own
+/// [`SyntheticApp`] decode. Returns total instructions
 /// (consumed via `black_box` so nothing is optimized away).
 fn run_sequential_cell(mix: &[AppProfile], defense: DefenseKind, nrh: u32) -> u64 {
     let mut sys = SystemBuilder::new(defense_cfg(defense, nrh))

@@ -33,10 +33,23 @@
 //! [`DramDevice::earliest_legal`] query, maintenance timing from
 //! [`Defense::next_deadline`]. There is no 1-ps re-arm anywhere; a wake
 //! at or before `now` is a bug and asserts.
+//!
+//! ## One scheduler
+//!
+//! `service` runs the verdict-caching FR-FCFS scheduler in
+//! `controller/sched.rs`. Its cached state (open-row mirror, legality
+//! and quiesce memos, cached Wait verdicts) is a private part of the
+//! controller, built with it and updated by every command it issues.
+//! Debug builds shadow-check every cached answer against a full scan.
+//! The original uncached scan survives only under `cfg(test)`, in
+//! `controller/reference.rs`, as the oracle of a differential test.
 
-mod batch;
+mod sched;
 
-pub use batch::CtrlScratch;
+#[cfg(test)]
+mod reference;
+
+use sched::SchedState;
 
 use std::collections::{HashMap, VecDeque};
 
@@ -249,6 +262,10 @@ pub struct MemoryController {
     /// ([`MemoryController::drain_flight`]). Empty unless flight
     /// recording is active.
     flight: EventBuffer,
+    /// The scheduler's cached state. Always present between calls;
+    /// [`MemoryController::service`] lends it out for the duration of
+    /// one wake.
+    sched: Option<Box<SchedState>>,
 }
 
 /// What `next_step` decided.
@@ -312,7 +329,7 @@ impl MemoryController {
             build_defense(&defense, &g, seed ^ 0x5eed),
         );
         let maint_period = engine.maintenance_period();
-        Ok(MemoryController {
+        let mut mc = MemoryController {
             cfg,
             device,
             defense: engine,
@@ -335,7 +352,10 @@ impl MemoryController {
             stats: CtrlStats::default(),
             maint_jitter: Vec::new(),
             flight: EventBuffer::new(),
-        })
+            sched: None,
+        };
+        mc.sched = Some(Box::new(SchedState::for_controller(&mc)));
+        Ok(mc)
     }
 
     /// The DRAM device behind this controller.
@@ -343,9 +363,11 @@ impl MemoryController {
         &self.device
     }
 
-    /// Mutable access to the device (tests, fault injection).
-    pub fn device_mut(&mut self) -> &mut DramDevice {
-        &mut self.device
+    /// Enables or disables the device's read-disturb ground-truth
+    /// bookkeeping. Row and timing state stay controller-owned: no
+    /// caller can move them behind the scheduler's open-row mirror.
+    pub fn set_disturb_enabled(&mut self, enabled: bool) {
+        self.device.set_disturb_enabled(enabled);
     }
 
     /// The defense behind this controller.
@@ -380,6 +402,13 @@ impl MemoryController {
 
     /// Accepts a request.
     ///
+    /// **Caller contract**: within each queue (reads, writes), requests
+    /// must be enqueued with non-decreasing `arrival` stamps. `lh-sim`
+    /// stamps `arrival` with the enqueue instant, retries included. The
+    /// scheduler's candidate scan stops at the first issueable row hit,
+    /// which is only the oldest such hit when queue order is arrival
+    /// order. Debug builds assert the contract.
+    ///
     /// # Errors
     ///
     /// Returns the request back if the corresponding queue is full; the
@@ -393,6 +422,17 @@ impl MemoryController {
             self.stats.rejections += 1;
             return Err(req);
         }
+        debug_assert!(
+            match req.kind {
+                AccessKind::Read => &self.read_q,
+                AccessKind::Write => &self.write_q,
+            }
+            .back()
+            .is_none_or(|last| last.arrival <= req.arrival),
+            "request {} arrives at {}, before the last queued arrival",
+            req.id,
+            req.arrival
+        );
         match req.kind {
             AccessKind::Read => {
                 self.read_q.push_back(req);
@@ -446,24 +486,10 @@ impl MemoryController {
     /// scheduler never polls: a computed wake at or before `now` would
     /// mean some deferral failed to register its flip time, and asserts.
     pub fn service(&mut self, now: Time) -> Time {
-        self.stats.service_calls += 1;
-        loop {
-            self.update_modes(now);
-            match self.next_step(now) {
-                Step::Issue(cmd, served) => {
-                    self.issue(cmd, now, served);
-                }
-                Step::Again => {}
-                Step::Wait(t) => {
-                    assert!(
-                        t > now,
-                        "scheduler wake {t} not strictly after now {now}: \
-                         a deferral failed to register its flip time"
-                    );
-                    return t;
-                }
-            }
-        }
+        let mut sched = self.sched.take().expect("scheduler state present");
+        let wake = self.service_with(now, &mut sched);
+        self.sched = Some(sched);
+        wake
     }
 
     fn update_modes(&mut self, now: Time) {
@@ -547,29 +573,6 @@ impl MemoryController {
         )
     }
 
-    /// Flat indices of banks blocked for new row/column commands.
-    fn blocked_banks(&self) -> Vec<usize> {
-        let g = self.device.geometry();
-        let mut blocked = Vec::new();
-        // Front PRFM RFM quiesces its target banks.
-        if let Some(&(rank, scope)) = self.rfm_queue.front() {
-            blocked.extend(self.device.rfm_banks(rank, scope));
-        }
-        // Bank-scope ABO recovery quiesces the alert bank.
-        if let Some(abo) = &self.abo {
-            if abo.phase == AboPhase::Recover
-                && self.device.prac_config().map(|p| p.scope) == Some(AlertScope::Bank)
-            {
-                blocked.push(g.flat_bank(abo.alert.bank));
-            }
-        }
-        // PARA front job owns its bank.
-        if let Some(job) = self.para_queue.front() {
-            blocked.push(g.flat_bank(job.bank));
-        }
-        blocked
-    }
-
     /// Ranks quiesced for new row/column commands, with the reason's
     /// deadline (refresh commitment or FR-RFM window).
     fn rank_quiesced(&self, rank: u32, now: Time) -> bool {
@@ -584,15 +587,6 @@ impl MemoryController {
         false
     }
 
-    /// Whether any bank of `rank` holds an open row.
-    fn rank_has_open_row(&self, rank: u32) -> bool {
-        self.device
-            .geometry()
-            .banks_in_channel(0)
-            .filter(|b| b.rank == rank)
-            .any(|b| self.device.open_row(b).is_some())
-    }
-
     /// The scheduler's one primitive: issue `cmd` now if it is legal
     /// now, otherwise fold its exact future legal instant into `wake`.
     fn issue_or_wake(&self, cmd: Command, now: Time, wake: &mut Time) -> Option<Step> {
@@ -602,366 +596,6 @@ impl MemoryController {
         }
         *wake = (*wake).min(at);
         None
-    }
-
-    fn next_step(&mut self, now: Time) -> Step {
-        let t = *self.device.timing();
-        let mut wake = Time::MAX;
-
-        // --- 1. ABO back-off protocol -----------------------------------
-        if let Some(abo) = self.abo {
-            match abo.phase {
-                AboPhase::Window => {
-                    wake = wake.min(abo.recover_at);
-                    // Normal traffic continues below.
-                }
-                AboPhase::Recover => {
-                    let scope = self
-                        .device
-                        .prac_config()
-                        .map(|p| p.scope)
-                        .unwrap_or(AlertScope::Channel);
-                    let rank = abo.alert.bank.rank;
-                    let close_cmd = match scope {
-                        AlertScope::Channel => self
-                            .rank_has_open_row(rank)
-                            .then_some(Command::PrechargeAll { channel: 0, rank }),
-                        AlertScope::Bank => {
-                            self.device.open_row(abo.alert.bank).is_some().then_some(
-                                Command::Precharge {
-                                    bank: abo.alert.bank,
-                                },
-                            )
-                        }
-                    };
-                    if let Some(cmd) = close_cmd {
-                        if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                            return step;
-                        }
-                    } else if abo.rfms_left > 0 {
-                        let rfm_scope = match scope {
-                            AlertScope::Channel => RfmScope::AllBank,
-                            AlertScope::Bank => RfmScope::SingleBank {
-                                bank_group: abo.alert.bank.bank_group,
-                                bank: abo.alert.bank.bank,
-                            },
-                        };
-                        let cmd = Command::Rfm {
-                            channel: 0,
-                            rank,
-                            scope: rfm_scope,
-                        };
-                        if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                            return step;
-                        }
-                    } else {
-                        // All recovery RFMs issued; recovery ends when the
-                        // last RFM's window closes.
-                        self.device.recovery_complete(abo.last_rfm_end);
-                        self.abo = None;
-                        self.stats.backoffs += 1;
-                        return Step::Again;
-                    }
-                    if scope == AlertScope::Channel {
-                        // Channel-scope recovery stalls everything else.
-                        return Step::Wait(wake);
-                    }
-                }
-            }
-        }
-
-        // --- 2. Committed refreshes -------------------------------------
-        for rank in 0..self.ref_due.len() as u32 {
-            let pending = self.ref_pending[rank as usize];
-            let due = self.ref_due[rank as usize];
-            if due > now {
-                // Next commit decision point.
-                wake = wake.min(due);
-            }
-            if pending == 0 {
-                if now >= due && self.abo.is_none() {
-                    // A REF is owed but uncommitted: the FR-RFM spacing
-                    // rules in `update_modes` found no clear slot yet.
-                    // The commit predicate can only flip at the post-RFM
-                    // settle expiry, at the bounded-deferral timeout, or
-                    // when the RFM deadline advances (event-driven: an
-                    // issued RFM re-runs `update_modes`). An in-flight
-                    // ABO defers commitment too, but its completion also
-                    // re-evaluates immediately.
-                    let settle_end = self.rfm_end[rank as usize] + self.cfg.frrfm_guard * 2;
-                    if settle_end > now {
-                        wake = wake.min(settle_end);
-                    }
-                    let timeout = due + t.t_refi / 2;
-                    if timeout > now {
-                        wake = wake.min(timeout);
-                    }
-                }
-                continue;
-            }
-            // Safety net mirroring the commit-time rule: a committed REF
-            // still never *starts* so late that it would be blocking the
-            // rank at the fixed-rate RFM deadline (zero RFM jitter is
-            // FR-RFM's security property). Dense schedules where a REF
-            // can never fit between two RFMs forgo the rule — refresh
-            // must still happen, and the stacking is deterministic.
-            if let (Some(deadline), Some(period)) =
-                (self.defense.next_deadline(rank, now), self.maint_period)
-            {
-                let fits_between_rfms = t.t_rfm + t.t_rfc + t.t_cmd * 2 <= period;
-                if fits_between_rfms && now + t.t_rfc + t.t_cmd > deadline {
-                    // Wait out the maintenance window; once its RFM
-                    // issues the deadline advances and this re-evaluates
-                    // (event-driven), so only a future deadline is a
-                    // timed wake.
-                    if deadline > now {
-                        wake = wake.min(deadline);
-                    }
-                    continue;
-                }
-            }
-            let cmd = if self.rank_has_open_row(rank) {
-                Command::PrechargeAll { channel: 0, rank }
-            } else {
-                Command::Refresh { channel: 0, rank }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 3. Scheduled maintenance (FR-RFM fixed-rate RFMs) ----------
-        // Deadline-driven defenses publish their next operation through
-        // `Defense::next_maintenance`; the controller quiesces the rank,
-        // closes its banks shortly before the deadline and issues the
-        // operation exactly on time — without knowing which defense
-        // scheduled it.
-        for rank in 0..self.ref_due.len() as u32 {
-            if let Some(m) = self.defense.next_maintenance(rank) {
-                let deadline = m.due;
-                // Close banks shortly before the deadline.
-                let close_at = deadline - t.t_rp - t.t_cmd;
-                if now < close_at {
-                    wake = wake.min(close_at);
-                    continue;
-                }
-                if self.rank_has_open_row(rank) {
-                    let cmd = Command::PrechargeAll { channel: 0, rank };
-                    if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                        return step;
-                    }
-                } else if now < deadline {
-                    // Quiesced early: the RFM waits for its exact slot.
-                    wake = wake.min(deadline);
-                } else {
-                    let cmd = Command::Rfm {
-                        channel: 0,
-                        rank,
-                        scope: m.scope,
-                    };
-                    if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                        return step;
-                    }
-                }
-            }
-        }
-
-        // --- 4. Reactive RFMs (PRFM) -------------------------------------
-        if let Some(&(rank, scope)) = self.rfm_queue.front() {
-            let banks = self.device.rfm_banks(rank, scope);
-            let open: Vec<BankId> = banks
-                .iter()
-                .map(|&f| self.device.geometry().bank_from_flat(0, f))
-                .filter(|&b| self.device.open_row(b).is_some())
-                .collect();
-            let cmd = if let Some(&bank) = open.first() {
-                Command::Precharge { bank }
-            } else {
-                Command::Rfm {
-                    channel: 0,
-                    rank,
-                    scope,
-                }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 5. PARA victim refreshes ------------------------------------
-        if let Some(job) = self.para_queue.front().copied() {
-            let open = self.device.open_row(job.bank);
-            let cmd = match (job.activated, open) {
-                (false, Some(_)) => Command::Precharge { bank: job.bank },
-                (false, None) => Command::Activate {
-                    bank: job.bank,
-                    row: job.victim,
-                },
-                (true, Some(_)) => Command::Precharge { bank: job.bank },
-                (true, None) => {
-                    // Victim refreshed and closed: job done.
-                    self.para_queue.pop_front();
-                    return Step::Again;
-                }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 5b. Strictly closed-page policy ----------------------------
-        // §9's DRAMA defense: a row is precharged immediately after every
-        // access (auto-precharge semantics), so the row-buffer state never
-        // carries information. A row that was activated but has not served
-        // a column command yet stays open — closing it earlier would
-        // starve its own request.
-        if self.cfg.row_policy == RowPolicy::Closed && !self.abo_channel_stall() {
-            let g = *self.device.geometry();
-            for bank in g.banks_in_channel(0) {
-                let Some(open_row) = self.device.open_row(bank) else {
-                    continue;
-                };
-                let flat = g.flat_bank(bank);
-                let (srow, served) = self.streak[flat];
-                if srow != open_row || served == 0 {
-                    continue;
-                }
-                let cmd = Command::Precharge { bank };
-                if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                    return step;
-                }
-            }
-        }
-
-        // --- 6. Demand requests (FR-FCFS with column cap) ----------------
-        if !self.abo_channel_stall() {
-            let sel = if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
-                QueueSel::Write
-            } else {
-                QueueSel::Read
-            };
-            let (step_wake, step) = self.schedule_demand(sel, now);
-            if let Some(s) = step {
-                return s;
-            }
-            wake = wake.min(step_wake);
-        }
-
-        Step::Wait(wake)
-    }
-
-    /// FR-FCFS selection over one queue. Returns (wake, chosen step).
-    fn schedule_demand(&self, sel: QueueSel, now: Time) -> (Time, Option<Step>) {
-        let q = match sel {
-            QueueSel::Read => &self.read_q,
-            QueueSel::Write => &self.write_q,
-        };
-        let g = self.device.geometry();
-        let blocked = self.blocked_banks();
-        let mut wake = Time::MAX;
-
-        // Per-bank pending hit/conflict summary for cap & precharge guards.
-        let mut bank_has_hit = vec![false; g.banks_per_channel() as usize];
-        let mut bank_has_conflict = vec![false; g.banks_per_channel() as usize];
-        for req in q.iter() {
-            let flat = g.flat_bank(req.addr.bank);
-            match self.device.open_row(req.addr.bank) {
-                Some(r) if r == req.addr.row => bank_has_hit[flat] = true,
-                Some(_) => bank_has_conflict[flat] = true,
-                None => {}
-            }
-        }
-
-        // Candidate = (is_not_hit, earliest, arrival, idx, cmd).
-        let mut best: Option<(bool, Time, Time, usize, Command)> = None;
-        for (idx, req) in q.iter().enumerate() {
-            let bank = req.addr.bank;
-            let flat = g.flat_bank(bank);
-            if blocked.contains(&flat) || self.rank_quiesced(bank.rank, now) {
-                continue;
-            }
-            // BlockHammer: a throttled row cannot be (re)activated yet —
-            // the observable delay of this defense class. Row hits to a
-            // still-open throttled row are allowed (the throttle gates
-            // ACT, not column commands).
-            if let Some(&until) = self.throttled.get(&(flat, req.addr.row)) {
-                if until > now && self.device.open_row(bank) != Some(req.addr.row) {
-                    wake = wake.min(until);
-                    continue;
-                }
-            }
-            let open = self.device.open_row(bank);
-            let (cmd, is_hit) = match open {
-                Some(r) if r == req.addr.row => {
-                    let c = match req.kind {
-                        AccessKind::Read => Command::Read {
-                            bank,
-                            col: req.addr.col,
-                        },
-                        AccessKind::Write => Command::Write {
-                            bank,
-                            col: req.addr.col,
-                        },
-                    };
-                    (c, true)
-                }
-                Some(_) => {
-                    // Respect open rows that still have uncapped hits.
-                    let (srow, scount) = self.streak[flat];
-                    let capped = srow == open.unwrap() && scount >= self.cfg.col_cap;
-                    if bank_has_hit[flat] && !capped {
-                        continue;
-                    }
-                    (Command::Precharge { bank }, false)
-                }
-                None => (
-                    Command::Activate {
-                        bank,
-                        row: req.addr.row,
-                    },
-                    false,
-                ),
-            };
-            if is_hit {
-                // Column cap: once `col_cap` consecutive hits were served
-                // while a conflicting request waits, stop preferring hits.
-                let (srow, scount) = self.streak[flat];
-                if srow == req.addr.row && scount >= self.cfg.col_cap && bank_has_conflict[flat] {
-                    continue;
-                }
-            }
-            let at = self.device.earliest_legal(&cmd, now);
-            let key = (!is_hit, at, req.arrival, idx, cmd);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    // Issueable-now candidates first (hit-priority, then
-                    // age); otherwise the earliest future candidate.
-                    let key_now = key.1 <= now;
-                    let best_now = b.1 <= now;
-                    match (key_now, best_now) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        (true, true) => (key.0, key.2) < (b.0, b.2),
-                        (false, false) => key.1 < b.1,
-                    }
-                }
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        match best {
-            Some((_, at, _, idx, cmd)) if at <= now => {
-                let served = cmd.is_column().then_some((sel, idx));
-                (wake, Some(Step::Issue(cmd, served)))
-            }
-            Some((_, at, _, _, _)) => {
-                wake = wake.min(at);
-                (wake, None)
-            }
-            None => (wake, None),
-        }
     }
 
     /// Issues `cmd` at `now`, updating all controller state.

@@ -1,15 +1,12 @@
-//! Batched service path: the same scheduler decisions as
-//! [`MemoryController::service`], computed against cached row state.
+//! The FR-FCFS scheduler behind [`MemoryController::service`].
 //!
-//! The lane-batched simulator engine (`lh-sim`'s `LaneBatch`) advances
-//! many controller instances over one shared trace, so the per-wake cost
-//! of `service` dominates sweep wall-clock. This module adds
-//! [`MemoryController::service_batched`]: a decision-identical variant
-//! of the service loop that keeps its bookkeeping in a caller-owned
-//! [`CtrlScratch`] instead of re-deriving it from the device every wake:
+//! Simulation wall-clock is dominated by the per-wake cost of
+//! `service`, so the scheduler keeps its bookkeeping in a private
+//! [`SchedState`] instead of re-deriving it from the device every wake:
 //!
 //! * a mirror of every bank's open row plus per-rank open counts, so
-//!   `rank_has_open_row` is one array read instead of a bank scan;
+//!   "does this rank hold an open row" is one array read instead of a
+//!   bank scan;
 //! * persistent per-bank hit/conflict buffers for the FR-FCFS pre-scan
 //!   (no per-wake allocation);
 //! * per-wake memos for `rank_quiesced` and the per-bank
@@ -18,18 +15,22 @@
 //!   ACT legality is row-independent while RD/WR legality is
 //!   column-independent;
 //! * an early exit from the candidate scan once an issueable-now row
-//!   hit is found (see the proof at the scan).
+//!   hit is found (see the proof at the scan);
+//! * cached Wait verdicts (the FastPath and the section verdict) that
+//!   let a wake inside a proven-quiet window answer without a scan, or
+//!   with the demand stage alone.
 //!
-//! The legacy `service` path is deliberately untouched: it is the
-//! reference implementation the identity tests and the `lane_batch`
-//! bench baseline run against. Every decision point here is a
-//! structural copy of the corresponding `controller.rs` code; the two
-//! must produce byte-identical command streams.
+//! Debug builds shadow every cached verdict with a full `next_step`
+//! scan, every memo with the query it caches, and the mirror with the
+//! device's row state. Unit tests also keep the uncached full scan of
+//! the original controller as a private `service_reference` oracle
+//! (`controller/reference.rs`), and a differential proptest holds the
+//! two to the same wakes, completions and statistics.
 //!
-//! **Caller contract**: requests must be enqueued with non-decreasing
-//! `arrival` stamps (true for `lh-sim`, which stamps `arrival` with the
-//! enqueue instant, including retries). The early exit below relies on
-//! this queue-order monotonicity.
+//! The early exit relies on the caller contract documented on
+//! [`MemoryController::enqueue`]: requests arrive with non-decreasing
+//! `arrival` stamps per queue (true for `lh-sim`, which stamps
+//! `arrival` with the enqueue instant, including retries).
 
 use std::collections::VecDeque;
 
@@ -50,17 +51,17 @@ const CLASS_RD: usize = 2;
 const CLASS_WR: usize = 3;
 const CLASSES: usize = 4;
 
-/// Caller-owned scratch state for [`MemoryController::service_batched`].
+/// The scheduler's cached state: the open-row mirror, the per-wake
+/// memos and the cached verdicts.
 ///
-/// Holds the open-row mirror and the per-wake memos. One scratch belongs
-/// to exactly one controller: it is synchronized to the controller's
-/// device state at construction and kept in sync by observing every
-/// issued command. Feeding it to a different controller, or mixing
-/// `service` and `service_batched` calls on the same controller without
-/// re-synchronizing, desynchronizes the mirror (debug builds assert).
+/// Each controller owns exactly one, built in
+/// [`MemoryController::with_mitigations`] and kept in sync by observing
+/// every command the scheduler issues. Nothing outside the scheduler
+/// can move row state behind it: the controller hands out its device
+/// read-only (debug builds assert the mirror anyway).
 #[derive(Debug, Clone)]
-pub struct CtrlScratch {
-    /// Bumped at every `next_step_b` entry; stamps invalidate the
+pub(super) struct SchedState {
+    /// Bumped at every `next_step` entry; stamps invalidate the
     /// per-wake memos (`rank_quiesced` is `now`-dependent).
     epoch: u64,
     /// Per rank: bumped at every command issued on that rank — the only
@@ -73,7 +74,7 @@ pub struct CtrlScratch {
     /// Bumped at every issued column command. The legality memo no
     /// longer needs it (column entries cache only the rank-local
     /// component); it feeds the section verdict's only-column-issues
-    /// test ([`CtrlScratch::sec_live`]).
+    /// test ([`SchedState::sec_live`]).
     col_epoch: u64,
     /// Per flat bank: mirrored open row ([`CLOSED`] when none).
     open: Vec<u32>,
@@ -89,8 +90,8 @@ pub struct CtrlScratch {
     q_val: Vec<bool>,
     /// Per (flat bank × class): memoized *unclamped* earliest-issue
     /// instant (`earliest_legal` at `Time::ZERO`), stamped by the
-    /// owning rank's [`CtrlScratch::rank_epoch`] (plus
-    /// [`CtrlScratch::col_epoch`] for column classes) so it survives
+    /// owning rank's [`SchedState::rank_epoch`] (plus
+    /// [`SchedState::col_epoch`] for column classes) so it survives
     /// until a command actually invalidates it. The caller-facing value
     /// folds the channel-global bus terms back in per query.
     l_stamp: Vec<u64>,
@@ -138,12 +139,12 @@ pub struct CtrlScratch {
     /// matching the scan's strict `better` test and its early break,
     /// because arrivals are non-decreasing in queue order).
     fp_cand: Option<(Time, bool, Time, u32, Command)>,
-    /// Section verdict: sections 1–5 of `next_step_b` never read the
+    /// Section verdict: sections 1–5 of `next_step` never read the
     /// demand queues, so a full scan's section outcome — the branch
     /// decisions taken and the wakes folded before the demand stage —
     /// remains exact across request arrivals and servings. A later
     /// service inside the window re-runs only the demand stage against
-    /// the carried section wake ([`MemoryController::next_step_demand_b`]).
+    /// the carried section wake ([`MemoryController::next_step_demand`]).
     /// Validity: `sec_bound` (same flip-instant bound as the FastPath),
     /// `now < sec_wake` (sections take no action strictly before their
     /// own wake), the precondition flags re-checked directly, and the
@@ -159,13 +160,13 @@ pub struct CtrlScratch {
     sec_bound: Time,
 }
 
-impl CtrlScratch {
-    /// Builds a scratch synchronized to `mc`'s current device state.
-    pub fn for_controller(mc: &MemoryController) -> CtrlScratch {
+impl SchedState {
+    /// Builds a state synchronized to `mc`'s current device and queues.
+    pub(super) fn for_controller(mc: &MemoryController) -> SchedState {
         let g = *mc.device.geometry();
         let banks = g.banks_per_channel() as usize;
         let ranks = g.ranks_per_channel() as usize;
-        let mut s = CtrlScratch {
+        let mut s = SchedState {
             epoch: 1,
             rank_epoch: vec![1; ranks],
             col_epoch: 0,
@@ -277,11 +278,11 @@ impl CtrlScratch {
     /// Folds queue entries appended since the last scan into the flat /
     /// row mirror. Queues only grow at the back between scans (enqueues
     /// and retries `push_back`; the sole removal is a served request,
-    /// mirrored eagerly by [`CtrlScratch::note_served`]), so catching up
+    /// mirrored eagerly by [`SchedState::note_served`]), so catching up
     /// is a walk of the new tail — each request pays `flat_bank` once
     /// per lifetime instead of once per wake.
     fn sync_queue(&mut self, sel: QueueSel, q: &VecDeque<MemRequest>, g: &Geometry) {
-        let k = CtrlScratch::qi(sel);
+        let k = SchedState::qi(sel);
         let flats = &mut self.q_flat[k];
         let rows = &mut self.q_row[k];
         debug_assert!(flats.len() <= q.len(), "queue mirror ahead of queue");
@@ -303,7 +304,7 @@ impl CtrlScratch {
     /// Removes a served request from the queue mirror, matching the
     /// `q.remove(idx)` the controller performs for column commands.
     fn note_served(&mut self, sel: QueueSel, idx: usize) {
-        let k = CtrlScratch::qi(sel);
+        let k = SchedState::qi(sel);
         self.q_flat[k].remove(idx);
         self.q_row[k].remove(idx);
     }
@@ -458,73 +459,67 @@ fn step_eq(a: &Step, b: &Step) -> bool {
 }
 
 impl MemoryController {
-    /// [`MemoryController::service`], computed against `scratch`'s cached
-    /// row state: identical decisions and identical issued command
-    /// stream, a fraction of the per-wake cost. `scratch` must have been
-    /// built by [`CtrlScratch::for_controller`] on this controller (or
-    /// kept in sync ever since); requests must arrive with
-    /// non-decreasing `arrival` stamps (the `lh-sim` contract).
-    pub fn service_batched(&mut self, now: Time, scratch: &mut CtrlScratch) -> Time {
-        debug_assert!(scratch.in_sync(&self.device), "open-row mirror drifted");
+    /// One scheduler wake at `now` against the cached state `s`
+    /// (the body of [`MemoryController::service`], which lends it the
+    /// controller's own [`SchedState`]).
+    pub(super) fn service_with(&mut self, now: Time, s: &mut SchedState) -> Time {
+        debug_assert!(s.in_sync(&self.device), "open-row mirror drifted");
         self.stats.service_calls += 1;
-        if scratch.fp_live(self, now) {
-            if now < scratch.fp_wake {
+        if s.fp_live(self, now) {
+            if now < s.fp_wake {
                 // A spurious kick inside the proven-quiet window: the
                 // full scan would re-derive exactly the cached wake.
                 #[cfg(debug_assertions)]
                 {
-                    let mut shadow = scratch.clone();
+                    let mut shadow = s.clone();
                     self.update_modes(now);
-                    match self.next_step_b(now, &mut shadow) {
-                        Step::Wait(w) if w == scratch.fp_wake => {}
-                        other => panic!(
-                            "FastPath wait {} diverged from scan {other:?}",
-                            scratch.fp_wake
-                        ),
+                    match self.next_step(now, &mut shadow) {
+                        Step::Wait(w) if w == s.fp_wake => {}
+                        other => panic!("FastPath wait {} diverged from scan {other:?}", s.fp_wake),
                     }
                 }
-                return scratch.fp_wake;
+                return s.fp_wake;
             }
-            if now == scratch.fp_wake {
-                if let Some((sel, idx, cmd)) = scratch.fp_winner {
+            if now == s.fp_wake {
+                if let Some((sel, idx, cmd)) = s.fp_winner {
                     // The wake landed on the precomputed demand winner:
                     // issue it without re-discovering it, then fall into
                     // the normal loop for the post-issue scan.
                     let served = cmd.is_column().then_some((sel, idx as usize));
                     #[cfg(debug_assertions)]
                     {
-                        let mut shadow = scratch.clone();
+                        let mut shadow = s.clone();
                         self.update_modes(now);
-                        match self.next_step_b(now, &mut shadow) {
+                        match self.next_step(now, &mut shadow) {
                             Step::Issue(c, s) if c == cmd && s == served => {}
                             other => panic!("FastPath winner {cmd:?} diverged from scan {other:?}"),
                         }
                     }
-                    scratch.note_issue(&cmd, self.device.geometry());
+                    s.note_issue(&cmd, self.device.geometry());
                     if let Some((sel, idx)) = served {
-                        scratch.note_served(sel, idx);
+                        s.note_served(sel, idx);
                     }
                     self.issue(cmd, now, served);
                 }
             }
         } else {
-            match self.arrival_fast(now, scratch) {
+            match self.arrival_fast(now, s) {
                 ArrivalFast::Wait(w) => return w,
                 ArrivalFast::Issued | ArrivalFast::Bail => {}
             }
         }
         loop {
             self.update_modes(now);
-            let step = if scratch.sec_live(self, now) {
-                self.next_step_demand_b(now, scratch)
+            let step = if s.sec_live(self, now) {
+                self.next_step_demand(now, s)
             } else {
-                self.next_step_b(now, scratch)
+                self.next_step(now, s)
             };
             match step {
                 Step::Issue(cmd, served) => {
-                    scratch.note_issue(&cmd, self.device.geometry());
+                    s.note_issue(&cmd, self.device.geometry());
                     if let Some((sel, idx)) = served {
-                        scratch.note_served(sel, idx);
+                        s.note_served(sel, idx);
                     }
                     self.issue(cmd, now, served);
                 }
@@ -554,7 +549,7 @@ impl MemoryController {
     /// hit/conflict pre-scan — bailed out when an earlier same-bank
     /// entry exists — and through the comparator, where `at ≥ fp_wake >
     /// now` for every cached candidate pins the outcome.
-    fn arrival_fast(&mut self, now: Time, s: &mut CtrlScratch) -> ArrivalFast {
+    fn arrival_fast(&mut self, now: Time, s: &mut SchedState) -> ArrivalFast {
         if !s.fp_valid
             || now >= s.fp_bound
             || now >= s.fp_wake
@@ -596,7 +591,7 @@ impl MemoryController {
             #[cfg(debug_assertions)]
             {
                 let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
+                match self.next_step(now, &mut sh) {
                     Step::Wait(w) if w == s.fp_wake => {}
                     other => panic!(
                         "arrival fast wait {} diverged from scan {other:?}",
@@ -611,7 +606,7 @@ impl MemoryController {
             QueueSel::Read => &self.read_q,
             QueueSel::Write => &self.write_q,
         };
-        let k = CtrlScratch::qi(sel);
+        let k = SchedState::qi(sel);
         s.sync_queue(sel, q, &g);
         let idx = q.len() - 1;
         let flat32 = s.q_flat[k][idx];
@@ -630,13 +625,13 @@ impl MemoryController {
         if self.rank_quiesced(bank.rank, now) {
             // Skipped candidate, verdict unchanged: a quiesced verdict
             // is monotone under the unchanged issue stamp (see
-            // `CtrlScratch::quiesced`).
+            // `SchedState::quiesced`).
             s.fp_rq = rq;
             s.fp_wq = wq;
             #[cfg(debug_assertions)]
             {
                 let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
+                match self.next_step(now, &mut sh) {
                     Step::Wait(w) if w == s.fp_wake => {}
                     other => panic!(
                         "arrival fast wait {} diverged from scan {other:?}",
@@ -676,7 +671,7 @@ impl MemoryController {
             #[cfg(debug_assertions)]
             {
                 let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
+                match self.next_step(now, &mut sh) {
                     Step::Issue(c, sv) if c == cmd && sv == served => {}
                     other => panic!("arrival fast issue {cmd:?} diverged from scan {other:?}"),
                 }
@@ -712,7 +707,7 @@ impl MemoryController {
         #[cfg(debug_assertions)]
         {
             let mut sh = shadow;
-            match self.next_step_b(now, &mut sh) {
+            match self.next_step(now, &mut sh) {
                 Step::Wait(w) if w == s.fp_wake => {}
                 other => panic!(
                     "arrival fast fold {} diverged from scan {other:?}",
@@ -723,10 +718,11 @@ impl MemoryController {
         ArrivalFast::Wait(s.fp_wake)
     }
 
-    /// `next_step` against the mirror. Structural copy of
-    /// `controller.rs`'s `next_step`; every behavioral divergence is a
-    /// bug the identity tests exist to catch.
-    fn next_step_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
+    /// The full scan: every section in priority order, against the
+    /// mirror and memos. Decision-identical to the uncached reference
+    /// scan the unit tests keep; every divergence is a bug the
+    /// differential test and the identity tests exist to catch.
+    fn next_step(&mut self, now: Time, s: &mut SchedState) -> Step {
         s.epoch += 1;
         s.fp_valid = false;
         s.fp_bound_acc = Time::MAX;
@@ -969,7 +965,7 @@ impl MemoryController {
             } else {
                 QueueSel::Read
             };
-            let (step_wake, step) = self.schedule_demand_b(sel, now, s);
+            let (step_wake, step) = self.schedule_demand(sel, now, s);
             if let Some(step) = step {
                 return step;
             }
@@ -1011,15 +1007,15 @@ impl MemoryController {
     }
 
     /// The demand-only reduced scan: re-runs stage 6 of
-    /// [`MemoryController::next_step_b`] against the carried section
+    /// [`MemoryController::next_step`] against the carried section
     /// verdict, skipping sections 1–5 entirely. Sound exactly when
-    /// [`CtrlScratch::sec_live`] holds: the sections read no demand
+    /// [`SchedState::sec_live`] holds: the sections read no demand
     /// queue, every branch they took is pinned by `sec_bound` /
     /// `sec_wake` / the stamp rule, and every wake they folded is either
     /// an absolute schedule instant (pure) or additionally protected by
     /// an unchanged issue stamp. In debug builds the full scan shadows
     /// every reduced verdict.
-    fn next_step_demand_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
+    fn next_step_demand(&mut self, now: Time, s: &mut SchedState) -> Step {
         #[cfg(debug_assertions)]
         let mut shadow = s.clone();
         s.epoch += 1;
@@ -1033,7 +1029,7 @@ impl MemoryController {
         } else {
             QueueSel::Read
         };
-        let (step_wake, step) = self.schedule_demand_b(sel, now, s);
+        let (step_wake, step) = self.schedule_demand(sel, now, s);
         let step = match step {
             Some(step) => step,
             None => {
@@ -1064,7 +1060,7 @@ impl MemoryController {
         };
         #[cfg(debug_assertions)]
         {
-            let full = self.next_step_b(now, &mut shadow);
+            let full = self.next_step(now, &mut shadow);
             assert!(
                 step_eq(&step, &full),
                 "reduced scan {step:?} diverged from full scan {full:?}"
@@ -1073,28 +1069,29 @@ impl MemoryController {
         step
     }
 
-    /// `schedule_demand` against the mirror: same selection, with the
+    /// FR-FCFS selection over one queue against the mirror: the
     /// pre-scan in persistent buffers, memoized quiesce/legality queries,
-    /// and an early exit once the winner is decided.
-    fn schedule_demand_b(
+    /// and an early exit once the winner is decided. Returns (wake,
+    /// chosen step).
+    fn schedule_demand(
         &self,
         sel: QueueSel,
         now: Time,
-        s: &mut CtrlScratch,
+        s: &mut SchedState,
     ) -> (Time, Option<Step>) {
         let q = match sel {
             QueueSel::Read => &self.read_q,
             QueueSel::Write => &self.write_q,
         };
         let g = self.device.geometry();
-        let k = CtrlScratch::qi(sel);
+        let k = SchedState::qi(sel);
         s.sync_queue(sel, q, g);
         let mut wake = Time::MAX;
 
         s.blocked.clear();
         if let Some(&(rank, scope)) = self.rfm_queue.front() {
             s.sync_rfm(&self.device, rank, scope);
-            let CtrlScratch {
+            let SchedState {
                 blocked, rfm_flats, ..
             } = s;
             blocked.extend_from_slice(rfm_flats);
@@ -1111,7 +1108,7 @@ impl MemoryController {
         }
 
         {
-            let CtrlScratch {
+            let SchedState {
                 q_flat,
                 q_row,
                 bank_has_hit,

@@ -57,7 +57,7 @@ mod controller;
 mod mapping;
 mod request;
 
-pub use controller::{CtrlConfig, CtrlScratch, CtrlStats, MemoryController, RowPolicy};
+pub use controller::{CtrlConfig, CtrlStats, MemoryController, RowPolicy};
 pub use mapping::{AddressMapping, MappingScheme};
 pub use request::{AccessKind, Completion, MemRequest};
 
@@ -370,6 +370,23 @@ mod tests {
             mc.take_completed();
         }
         assert!(mc.enqueue(req(99, bank0(), 1, 0, now)).is_ok());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the last queued arrival")]
+    fn enqueue_rejects_an_arrival_older_than_the_queue_tail() {
+        let mut mc = make(DefenseConfig::none());
+        mc.enqueue(req(1, bank0(), 5, 0, Time::from_ns(10)))
+            .unwrap();
+        // The contract is per queue: an older write is fine...
+        let write = MemRequest {
+            kind: AccessKind::Write,
+            ..req(2, bank0(), 6, 0, Time::ZERO)
+        };
+        mc.enqueue(write).unwrap();
+        // ...an older read is not.
+        let _ = mc.enqueue(req(3, bank0(), 6, 0, Time::ZERO));
     }
 
     #[test]

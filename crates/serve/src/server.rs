@@ -318,9 +318,12 @@ fn executor(
         *live.lock().expect("live slot poisoned") = None;
         match outcome {
             Ok(run) => {
-                entry.push_line(sink::stream_finished(job, &run, &ctx));
+                let finished = sink::stream_finished(job, &run, &ctx);
                 let envelope = sink::render(job, &run, &ctx, OutputFormat::Json);
+                // One critical section: a client that reads the
+                // `finished` line must find the envelope already served.
                 let mut inner = entry.lock();
+                inner.lines.push(finished);
                 inner.envelope = Some(envelope);
                 inner.events = run.events;
                 inner.phase = RunPhase::Done;

@@ -11,8 +11,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use lh_defenses::DefenseConfig;
 use lh_dram::{DeviceConfig, DramError, Span, Time};
 use lh_memctrl::{
-    AccessKind, AddressMapping, CtrlConfig, CtrlScratch, MappingScheme, MemRequest,
-    MemoryController,
+    AccessKind, AddressMapping, CtrlConfig, MappingScheme, MemRequest, MemoryController,
 };
 use lh_mitigate::MitigationConfig;
 
@@ -173,7 +172,6 @@ impl SimConfig {
 pub struct SystemBuilder {
     config: SimConfig,
     disturb_tracking: bool,
-    batched_service: bool,
 }
 
 impl SystemBuilder {
@@ -187,7 +185,6 @@ impl SystemBuilder {
         SystemBuilder {
             config,
             disturb_tracking: true,
-            batched_service: false,
         }
     }
 
@@ -254,13 +251,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Routes controller wakes through
-    /// [`MemoryController::service_batched`] — identical scheduling
-    /// decisions computed against cached row state. Off by default (the
-    /// reference path); lane-batched sweeps and hot experiment loops
-    /// opt in.
-    pub fn batched_service(mut self, enabled: bool) -> SystemBuilder {
-        self.batched_service = enabled;
+    /// Does nothing, whatever `enabled` says: every system runs the
+    /// controller's one verdict-caching scheduler
+    /// ([`MemoryController::service`]). Kept so that existing callers,
+    /// such as the `perfbench/layers` benchmark, still build.
+    pub fn batched_service(self, enabled: bool) -> SystemBuilder {
+        let _ = enabled;
         self
     }
 
@@ -271,12 +267,7 @@ impl SystemBuilder {
     /// Propagates device/controller construction errors.
     pub fn build(self) -> Result<System, DramError> {
         let mut sys = System::new(self.config)?;
-        sys.mc
-            .device_mut()
-            .set_disturb_enabled(self.disturb_tracking);
-        if self.batched_service {
-            sys.enable_batched_service();
-        }
+        sys.mc.set_disturb_enabled(self.disturb_tracking);
         Ok(sys)
     }
 }
@@ -368,9 +359,6 @@ pub struct System {
     /// Reused buffer for draining controller completions (allocation-free
     /// steady state).
     completion_buf: Vec<lh_memctrl::Completion>,
-    /// When present, controller wakes go through the batched service
-    /// path with this scratch state (see `enable_batched_service`).
-    scratch: Option<CtrlScratch>,
     ctrl_scheduled: Time,
     cache_cfg: CacheConfig,
     prefetch_cfg: Option<BopConfig>,
@@ -439,7 +427,6 @@ impl System {
             inflight: HashMap::default(),
             stalled: VecDeque::new(),
             completion_buf: Vec::new(),
-            scratch: None,
             ctrl_scheduled: Time::ZERO,
             cache_cfg: config.caches,
             prefetch_cfg: config.prefetch,
@@ -609,15 +596,6 @@ impl System {
         *self
             .flight_seg
             .get_or_insert_with(lh_obs::flight::new_segment)
-    }
-
-    /// Switches controller servicing to the batched path
-    /// ([`MemoryController::service_batched`]): identical scheduling
-    /// decisions, computed against a cached open-row mirror instead of
-    /// per-wake device scans. The scratch is synchronized to the current
-    /// device state, so enabling mid-run is safe.
-    pub fn enable_batched_service(&mut self) {
-        self.scratch = Some(CtrlScratch::for_controller(&self.mc));
     }
 
     /// The instant of the earliest queued event, if any. This is the
@@ -811,10 +789,7 @@ impl System {
     /// requests, and schedules the next controller wake-up.
     fn kick_ctrl(&mut self) {
         loop {
-            let next = match &mut self.scratch {
-                Some(s) => self.mc.service_batched(self.now, s),
-                None => self.mc.service(self.now),
-            };
+            let next = self.mc.service(self.now);
             let mut done = std::mem::take(&mut self.completion_buf);
             self.mc.drain_completed_into(&mut done);
             for c in done.drain(..) {

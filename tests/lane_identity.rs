@@ -1,12 +1,14 @@
 //! Lane-batch identity: `LaneBatch` with K lanes over one shared trace
 //! must reproduce, byte for byte, what each lane computes when run
-//! alone on the legacy (unbatched) service path — the command mix, the
-//! per-process and cache statistics, the defense counters, a probe's
-//! latency trace, and the per-lane obs counters.
+//! alone as a plain `System` — the command mix, the per-process and
+//! cache statistics, the defense counters, a probe's latency trace, and
+//! the per-lane obs counters.
 //!
-//! This is the PR's absolute correctness bar: the batch engine and the
-//! batched controller service are *engines*, not approximations, so
-//! equality here is exact structural equality, never tolerance-based.
+//! The batch engine is an *engine*, not an approximation, so equality
+//! here is exact structural equality, never tolerance-based. Lanes and
+//! solo systems share the controller's one scheduler; that scheduler is
+//! held to the original uncached scan by the differential proptest in
+//! `lh-memctrl`'s unit tests.
 
 use std::sync::Arc;
 
@@ -136,8 +138,8 @@ fn collect(sys: &System, pids: &[ProcId], probe: ProcId, metrics: Metrics) -> La
     }
 }
 
-/// The reference: the lane alone, on the legacy `service` path, with
-/// its obs counters captured at an identical finalization flush.
+/// The reference: the lane alone as a plain `System`, with its obs
+/// counters captured at an identical finalization flush.
 fn run_solo(spec: &LaneSpec, trace: &Arc<SharedTrace>, end: Time, horizon: Time) -> LaneResult {
     let mut sys = builder(spec).build().expect("valid configuration");
     let (pids, probe) = add_processes(&mut sys, trace, end);
@@ -184,7 +186,7 @@ proptest! {
 
     /// lanes=K ≡ lanes=1 over random (defense, NRH, mitigation-stack)
     /// lane sets: every lane of a K-lane batch equals the same cell run
-    /// alone on the legacy service path.
+    /// alone.
     #[test]
     fn lanes_k_equal_lanes_1(
         lanes in proptest::collection::vec((0usize..7, 0usize..5, 0usize..5), 1..4),
@@ -208,7 +210,7 @@ proptest! {
 }
 
 /// The degenerate single-lane batch is not a special case: it must be
-/// byte-identical to the solo legacy run too.
+/// byte-identical to the solo run too.
 #[test]
 fn degenerate_single_lane_batch_matches_solo() {
     let spec = LaneSpec {

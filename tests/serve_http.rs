@@ -8,12 +8,24 @@
 //! tails live NDJSON events stamped with wall-clock `ts_ms`.
 
 use std::io::BufRead;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lh_harness::json::parse;
 use lh_harness::sink;
 use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
 use lh_serve::{client, ServeOptions, Server, ThreadSpawner};
+
+/// Serializes the tests that execute runs. The flight-recorder switch
+/// is process-global: each server's executor and thread workers set it
+/// for the run at hand, which is exact with one server per process. The
+/// tests start several servers in one process, so a plain run in one
+/// test could switch recording off under another test's `"events":
+/// true` run.
+fn serial_runs() -> MutexGuard<'static, ()> {
+    static RUNS: Mutex<()> = Mutex::new(());
+    RUNS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Binds a service on an ephemeral loopback port with an in-process
 /// thread fleet and returns its base URL.
@@ -53,6 +65,7 @@ fn wait_done(base: &str, id: u64) -> lh_harness::json::Json {
 
 #[test]
 fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
+    let _runs = serial_runs();
     let base = start_server();
 
     let response = client::post(
@@ -110,6 +123,7 @@ fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
 
 #[test]
 fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
+    let _runs = serial_runs();
     let base = start_server();
 
     let response = client::post(
@@ -143,6 +157,7 @@ fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
 
 #[test]
 fn stream_tails_ndjson_events_with_wall_clock_stamps() {
+    let _runs = serial_runs();
     let base = start_server();
 
     let response = client::post(
@@ -250,6 +265,7 @@ fn version_reports_the_binary_fingerprint() {
 
 #[test]
 fn flight_events_are_served_per_run_when_requested() {
+    let _runs = serial_runs();
     let base = start_server();
 
     // A run submitted without events: the endpoint 404s rather than
@@ -303,4 +319,41 @@ fn flight_events_are_served_per_run_when_requested() {
     let with = client::get(&format!("{base}/runs/{id}/envelope")).expect("get");
     let without = client::get(&format!("{base}/runs/{plain_id}/envelope")).expect("get");
     assert_eq!(with.text(), without.text());
+}
+
+#[test]
+fn envelope_is_served_the_moment_the_finished_line_is_read() {
+    let _runs = serial_runs();
+    let base = start_server();
+
+    // Read each run's stream only up to its `finished` line and fetch
+    // the envelope at once: the line must never be visible before the
+    // envelope it announces. The race this pins shows up within about
+    // a hundred submissions, hence the count.
+    for seed in 0..300u64 {
+        let body = format!(r#"{{"experiment": "fig2", "scale": "quick", "seed": {seed}}}"#);
+        let response = client::post(&format!("{base}/runs"), body.as_bytes()).expect("submit");
+        assert_eq!(response.status, 202, "{}", response.text());
+        let id = parse(&response.text()).expect("submit reply is JSON")["id"]
+            .as_u64()
+            .expect("run id");
+        let (status, reader) =
+            client::get_stream(&format!("{base}/runs/{id}/stream")).expect("attach stream");
+        assert_eq!(status, 200);
+        let finished = reader
+            .lines()
+            .map(|line| line.expect("stream line"))
+            .any(|line| {
+                !line.is_empty()
+                    && parse(&line).expect("NDJSON line")["event"].as_str() == Some("finished")
+            });
+        assert!(finished, "run {id} stream ended without a finished line");
+        let envelope = client::get(&format!("{base}/runs/{id}/envelope")).expect("get");
+        assert_eq!(
+            envelope.status,
+            200,
+            "run {id}: envelope not served after finished: {}",
+            envelope.text()
+        );
+    }
 }
