@@ -1,7 +1,7 @@
 //! Fig. 12 bench: one point of the preventive-action latency sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lh_bench::experiment::latency_sweep::run_latency_sweep;
+use lh_bench::experiment::latency_sweep::latency_sweep_point;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig12_latency_sweep");
@@ -12,7 +12,7 @@ fn bench(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            run_latency_sweep(&[100], 8, seed)
+            latency_sweep_point(100, 8, seed)
         })
     });
     g.finish();

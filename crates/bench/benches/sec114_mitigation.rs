@@ -1,7 +1,7 @@
 //! §11.4 bench: the countermeasure capacity-reduction study.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lh_bench::experiment::countermeasures::run_mitigation_study;
+use lh_bench::experiment::countermeasures::{attack_capacity, mitigation_arms};
 use lh_bench::Scale;
 
 fn bench(c: &mut Criterion) {
@@ -11,9 +11,13 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(20));
     g.bench_function("study_quick", |b| {
         let mut seed = 0u64;
+        let bits = Scale::Quick.message_bits() / 4;
         b.iter(|| {
             seed += 1;
-            run_mitigation_study(Scale::Quick, seed)
+            mitigation_arms()
+                .iter()
+                .map(|arm| attack_capacity(arm, bits, seed))
+                .collect::<Vec<_>>()
         })
     });
     g.finish();

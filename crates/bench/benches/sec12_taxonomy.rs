@@ -2,7 +2,7 @@
 //! attempt against one defense of every trigger/visibility class.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lh_bench::experiment::taxonomy::run_taxonomy;
+use lh_bench::experiment::taxonomy::{taxonomy_bits, taxonomy_kinds, taxonomy_point};
 use lh_bench::Scale;
 
 fn bench(c: &mut Criterion) {
@@ -14,7 +14,10 @@ fn bench(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            run_taxonomy(Scale::Quick, seed)
+            taxonomy_kinds()
+                .into_iter()
+                .map(|kind| taxonomy_point(kind, taxonomy_bits(kind, Scale::Quick), seed))
+                .collect::<Vec<_>>()
         })
     });
     g.finish();

@@ -6,11 +6,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use lh_analysis::{ChannelResult, MessagePattern};
+use lh_analysis::MessagePattern;
 use lh_workloads::{AppProfile, Intensity};
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
+use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One interference level's measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,41 +22,20 @@ pub struct AppNoisePoint {
     pub capacity_kbps: f64,
 }
 
-/// The Fig. 5 / Fig. 8 series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AppNoiseSeries {
-    /// Which channel.
-    pub kind: ChannelKind,
-    /// One point per L/M/H level.
-    pub points: Vec<AppNoisePoint>,
-}
-
-/// Runs the experiment for `kind` at `scale`.
-pub fn run_app_noise(kind: ChannelKind, scale: Scale, seed: u64) -> AppNoiseSeries {
-    let bits_per_pattern = scale.message_bits() / 4;
-    let points = [Intensity::Low, Intensity::Medium, Intensity::High]
-        .into_iter()
-        .map(|intensity| app_noise_point(kind, intensity, bits_per_pattern, seed))
-        .collect();
-    AppNoiseSeries { kind, points }
-}
-
-/// One interference level of the Fig. 5 / Fig. 8 study; exposed so the
-/// harness can run the three levels in parallel.
+/// One interference level (L/M/H) of the Fig. 5 / Fig. 8 study; the
+/// harness runs the three levels in parallel.
 pub fn app_noise_point(
     kind: ChannelKind,
     intensity: Intensity,
     bits_per_pattern: usize,
     seed: u64,
 ) -> AppNoisePoint {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+    let merged = run_pattern_set(&MessagePattern::paper_set(), bits_per_pattern, |i, bits| {
+        let mut opts = CovertOptions::new(kind, bits);
         opts.co_runners = vec![AppProfile::category(intensity)];
         opts.seed = seed ^ ((i as u64) << 4);
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+        opts
+    });
     AppNoisePoint {
         intensity,
         error_probability: merged.error_probability(),
@@ -68,12 +46,17 @@ pub fn app_noise_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn app_interference_reduces_but_does_not_kill_the_prac_channel() {
-        let series = run_app_noise(ChannelKind::Prac, Scale::Quick, 3);
-        assert_eq!(series.points.len(), 3);
-        for p in &series.points {
+        let bits = Scale::Quick.message_bits() / 4;
+        let points: Vec<AppNoisePoint> = [Intensity::Low, Intensity::Medium, Intensity::High]
+            .into_iter()
+            .map(|intensity| app_noise_point(ChannelKind::Prac, intensity, bits, 3))
+            .collect();
+        assert_eq!(points.len(), 3);
+        for p in &points {
             // Fig. 5: even at high intensity the channel keeps most of
             // its capacity (paper: 31.2 of 39 Kbps at H).
             assert!(

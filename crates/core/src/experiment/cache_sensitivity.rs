@@ -7,11 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use lh_analysis::{ChannelResult, MessagePattern};
+use lh_analysis::MessagePattern;
 use lh_sim::{BopConfig, CacheConfig};
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
+use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// Capacity of one channel under the two hierarchies.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -36,30 +35,20 @@ impl CachePoint {
 }
 
 fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits));
+    run_pattern_set(&MessagePattern::paper_set(), bits, |i, bits| {
+        let mut opts = CovertOptions::new(kind, bits);
         opts.seed = seed ^ ((i as u64) << 6);
         if large {
             opts.sim.caches = CacheConfig::large_hierarchy();
             opts.sim.prefetch = Some(BopConfig::paper_default());
         }
-        results.push(run_covert(&opts).result);
-    }
-    ChannelResult::merge(results.iter()).capacity_kbps()
+        opts
+    })
+    .capacity_kbps()
 }
 
-/// Runs the §10.3 study for both channels.
-pub fn run_cache_sensitivity(scale: Scale, seed: u64) -> Vec<CachePoint> {
-    let bits = scale.message_bits() / 4;
-    [ChannelKind::Prac, ChannelKind::Rfm]
-        .into_iter()
-        .map(|kind| cache_point(kind, bits, seed))
-        .collect()
-}
-
-/// One channel's §10.3 measurement (both hierarchies); exposed so the
-/// harness can run the two channels in parallel.
+/// One channel's §10.3 measurement (both hierarchies); the harness runs
+/// the two channels in parallel.
 pub fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CachePoint {
     CachePoint {
         kind,
@@ -71,11 +60,13 @@ pub fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> Cac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn larger_caches_do_not_prevent_the_channels() {
-        let points = run_cache_sensitivity(Scale::Quick, 8);
-        for p in &points {
+        let bits = Scale::Quick.message_bits() / 4;
+        for kind in [ChannelKind::Prac, ChannelKind::Rfm] {
+            let p = cache_point(kind, bits, 8);
             assert!(
                 p.large_kbps > 0.6 * p.baseline_kbps,
                 "{:?}: large-hierarchy capacity {} vs baseline {}",

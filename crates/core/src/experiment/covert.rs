@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lh_analysis::ChannelResult;
+use lh_analysis::{ChannelResult, MessagePattern};
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
     SenderConfig,
@@ -212,20 +212,14 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
             .enumerate()
             .map(|(i, (&bit, o))| {
                 let t0 = start + opts.window * i as u64;
-                let verdict = match (bit != 0, o.events >= trecv) {
-                    (true, true) => "hit",
-                    (true, false) => "miss",
-                    (false, true) => "false-positive",
-                    (false, false) => "idle",
-                };
-                lh_obs::FlightEvent::Link {
-                    t_ns: t0.as_ps() / 1_000,
-                    t_end_ns: (t0 + opts.window).as_ps() / 1_000,
-                    window: i as u64,
-                    symbol: u64::from(bit),
-                    events: u64::from(o.events),
-                    verdict,
-                }
+                lh_obs::FlightEvent::link_window(
+                    t0.as_ps() / 1_000,
+                    (t0 + opts.window).as_ps() / 1_000,
+                    i as u64,
+                    u64::from(bit),
+                    u64::from(o.events),
+                    u64::from(trecv),
+                )
             })
             .collect();
         lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
@@ -243,26 +237,21 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
     }
 }
 
-/// Runs the four §6.3 message patterns and merges the results.
-pub fn run_patterns(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CovertOutcome {
-    use lh_analysis::MessagePattern;
-    let mut outcomes = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
-        opts.seed = seed ^ (i as u64) << 8;
-        outcomes.push(run_covert(&opts));
-    }
-    let merged = ChannelResult::merge(outcomes.iter().map(|o| &o.result));
-    let mut all = outcomes.remove(0);
-    for o in outcomes {
-        all.decoded.extend(o.decoded);
-        all.per_window_events.extend(o.per_window_events);
-        all.backoffs += o.backoffs;
-        all.rfms += o.rfms;
-        all.defense_stats.absorb(&o.defense_stats);
-    }
-    all.result = merged;
-    all
+/// Runs one transmission per message pattern, in order, and merges the
+/// channel results. `options(i, bits)` builds pattern `i`'s options for
+/// its `bits_per_pattern` message bits; the caller's per-pattern seed
+/// formula lives there, so each figure keeps its own seeds.
+pub fn run_pattern_set(
+    patterns: &[MessagePattern],
+    bits_per_pattern: usize,
+    options: impl Fn(usize, Vec<u8>) -> CovertOptions,
+) -> ChannelResult {
+    let results: Vec<ChannelResult> = patterns
+        .iter()
+        .enumerate()
+        .map(|(i, pattern)| run_covert(&options(i, pattern.bits(bits_per_pattern))).result)
+        .collect();
+    ChannelResult::merge(results.iter())
 }
 
 #[cfg(test)]
@@ -303,14 +292,13 @@ mod tests {
         // noise-induced spurious back-offs, whose inter-arrival time spans
         // several transmission windows.
         let run_at = |intensity: f64| {
-            let mut results = Vec::new();
-            for (i, pattern) in lh_analysis::MessagePattern::paper_set().iter().enumerate() {
-                let mut opts = CovertOptions::new(ChannelKind::Prac, pattern.bits(16));
+            run_pattern_set(&MessagePattern::paper_set(), 16, |i, bits| {
+                let mut opts = CovertOptions::new(ChannelKind::Prac, bits);
                 opts.noise_intensity = Some(intensity);
                 opts.seed = 2 ^ ((i as u64) << 12) ^ (intensity as u64);
-                results.push(run_covert(&opts).result);
-            }
-            ChannelResult::merge(results.iter()).error_probability()
+                opts
+            })
+            .error_probability()
         };
         let e_quiet = run_at(1.0);
         let e_loud = run_at(100.0);
@@ -326,9 +314,12 @@ mod tests {
 
     #[test]
     fn pattern_merge_aggregates_bits() {
-        let out = run_patterns(ChannelKind::Prac, 12, 3);
-        assert_eq!(out.result.bits, 48);
-        assert_eq!(out.decoded.len(), 48);
-        assert!(out.result.error_probability() < 0.2);
+        let out = run_pattern_set(&MessagePattern::paper_set(), 12, |i, bits| {
+            let mut opts = CovertOptions::new(ChannelKind::Prac, bits);
+            opts.seed = 3 ^ ((i as u64) << 8);
+            opts
+        });
+        assert_eq!(out.bits, 48);
+        assert!(out.error_probability() < 0.2);
     }
 }

@@ -7,10 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use lh_analysis::{ChannelResult, MessagePattern};
+use lh_analysis::MessagePattern;
 use lh_dram::Span;
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One sweep point of Fig. 12.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -27,24 +27,10 @@ pub struct LatencyPoint {
 /// (blast radius 1 and 2): 96 ns and 192 ns.
 pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 
-/// Runs the sweep over `latencies_ns` with `bits` per pattern.
-pub fn run_latency_sweep(
-    latencies_ns: &[u64],
-    bits_per_pattern: usize,
-    seed: u64,
-) -> Vec<LatencyPoint> {
-    latencies_ns
-        .iter()
-        .map(|&lat| latency_sweep_point(lat, bits_per_pattern, seed))
-        .collect()
-}
-
-/// One Fig. 12 sweep point; exposed so the harness can shard the grid
-/// across cores.
+/// One Fig. 12 sweep point; the harness shards the grid across cores.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(ChannelKind::Prac, pattern.bits(bits_per_pattern));
+    let merged = run_pattern_set(&MessagePattern::paper_set(), bits_per_pattern, |i, bits| {
+        let mut opts = CovertOptions::new(ChannelKind::Prac, bits);
         opts.seed = seed ^ ((i as u64) << 9) ^ lat;
         // Single-RFM back-off with tRFM = the swept action latency.
         opts.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
@@ -63,9 +49,8 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
             opts.think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
         let refresh_floor = opts.think + t.t_rfc * 2 - Span::from_ns(20);
         opts.detection_band = Some((conflict_contended, refresh_floor));
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+        opts
+    });
     LatencyPoint {
         action_latency_ns: lat,
         error_probability: merged.error_probability(),
@@ -84,9 +69,8 @@ mod tests {
 
     #[test]
     fn long_actions_keep_the_channel_and_tiny_ones_kill_it() {
-        let points = run_latency_sweep(&[5, 150], 10, 4);
-        let tiny = &points[0];
-        let long = &points[1];
+        let tiny = latency_sweep_point(5, 10, 4);
+        let long = latency_sweep_point(150, 10, 4);
         assert!(
             long.capacity_kbps > 15.0,
             "150 ns action must sustain the channel, got {} Kbps",
@@ -104,11 +88,11 @@ mod tests {
     fn even_minimum_refresh_latency_leaks() {
         // Fig. 12's headline: the minimum refresh-based action (96 ns,
         // blast radius 1) still yields an exploitable channel.
-        let points = run_latency_sweep(&[MIN_REFRESH_ACTION_NS[0]], 10, 5);
+        let point = latency_sweep_point(MIN_REFRESH_ACTION_NS[0], 10, 5);
         assert!(
-            points[0].error_probability < 0.2,
+            point.error_probability < 0.2,
             "96 ns action must be detectable, e={}",
-            points[0].error_probability
+            point.error_probability
         );
     }
 

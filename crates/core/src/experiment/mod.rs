@@ -1,6 +1,8 @@
-//! Experiment runners — one per table/figure of the paper.
+//! Experiment building blocks: single transmissions, sweep points and
+//! per-defense measurements. The [`crate::registry()`] jobs run one of
+//! these per unit and merge the results into each table/figure.
 //!
-//! | Module | Reproduces |
+//! | Module | Point functions for |
 //! |---|---|
 //! | [`latency_trace`] | Fig. 2 and the §6.2 / §7.2 latency observations |
 //! | [`covert`] | Figs. 3 and 6 (the 40-bit "MICRO" transmissions) |

@@ -30,43 +30,22 @@ pub struct PerfPoint {
     pub normalized_ws: f64,
 }
 
-/// The Fig. 13 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PerfStudy {
-    /// All measured cells.
-    pub points: Vec<PerfPoint>,
-    /// Number of four-core mixes averaged.
-    pub mixes: usize,
-}
-
-impl PerfStudy {
-    /// The normalized WS of one cell.
-    pub fn cell(&self, defense: DefenseKind, nrh: u32) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.defense == defense && p.nrh == nrh)
-            .map(|p| p.normalized_ws)
-    }
-}
-
 /// Decodes the shared access trace of one four-core mix: profile `i`
 /// replays on the stream seeded `sim_seed ^ (i * 31)` — the exact
 /// per-app seed derivation every simulation of this mix uses, so one
 /// decode serves the alone runs, the no-defense mix and every
 /// `(defense, nrh)` cell.
 ///
-/// `counted` selects [`SharedTrace::decode`] (one `sim.trace.decodes`
-/// tick, for the path that owns the trace) versus
-/// [`SharedTrace::decode_uncounted`] (for memo-fallback re-decodes
-/// whose per-unit counter attribution must not depend on which process
-/// got the memo hit — the pinned envelope snapshots carry no decode
-/// counter, and must stay byte-identical across execution modes).
+/// The decode is [`SharedTrace::decode_uncounted`]: whether a unit
+/// decodes the trace or gets it from the memo depends on scheduling,
+/// so it must not tick a per-unit counter (the pinned envelope
+/// snapshots carry no decode counter, and must stay byte-identical
+/// across execution modes).
 pub fn decode_mix_trace(
     mix_index: usize,
     mixes_seed: u64,
     sim_seed: u64,
     scale: Scale,
-    counted: bool,
 ) -> Arc<SharedTrace> {
     let mixes = four_core_mixes(scale.mixes(), mixes_seed);
     let profiles = mixes[mix_index].to_vec();
@@ -75,11 +54,7 @@ pub fn decode_mix_trace(
     let seeds: Vec<u64> = (0..profiles.len())
         .map(|i| sim_seed ^ (i as u64 * 31))
         .collect();
-    if counted {
-        SharedTrace::decode(profiles, mapping, &seeds)
-    } else {
-        SharedTrace::decode_uncounted(profiles, mapping, &seeds)
-    }
+    SharedTrace::decode_uncounted(profiles, mapping, &seeds)
 }
 
 /// A lane builder for one performance simulation. Performance runs do
@@ -222,70 +197,12 @@ pub fn run_perf_cells_on(
         .collect()
 }
 
-/// Runs one mix's baseline simulations, decoding the trace itself.
-///
-/// The mix list is derived from `mixes_seed` (the study's master seed,
-/// identical across shards) while the simulations run on `sim_seed`, so
-/// the harness can give every mix an independently derived seed and
-/// shard the study across cores bit-identically. Callers that hold a
-/// memoized trace use [`run_perf_baseline_on`] directly.
-pub fn run_perf_baseline(
-    mix_index: usize,
-    mixes_seed: u64,
-    sim_seed: u64,
-    scale: Scale,
-) -> MixBaseline {
-    let trace = decode_mix_trace(mix_index, mixes_seed, sim_seed, scale, true);
-    run_perf_baseline_on(&trace, sim_seed, scale)
-}
-
-/// Runs one `(mix, defense, nrh)` cell against a precomputed
-/// [`MixBaseline`], decoding the trace itself. `sim_seed` must equal
-/// the baseline's. Callers that hold a memoized trace use
-/// [`run_perf_cells_on`] directly.
-pub fn run_perf_cell(
-    mix_index: usize,
-    mixes_seed: u64,
-    sim_seed: u64,
-    defense: DefenseKind,
-    nrh: u32,
-    baseline: &MixBaseline,
-    scale: Scale,
-) -> PerfPoint {
-    let trace = decode_mix_trace(mix_index, mixes_seed, sim_seed, scale, false);
-    run_perf_cells_on(&trace, sim_seed, &[(defense, nrh)], baseline, scale)
-        .pop()
-        .expect("one cell in, one point out")
-}
-
-/// One mix's contribution to Fig. 13: normalized weighted speedup per
-/// `(defense, nrh)` cell, in `defenses` × `nrh_values` order — the
-/// baseline plus every cell, composed from [`run_perf_baseline_on`] and
-/// [`run_perf_cells_on`] over one decoded trace, so a sharded
-/// (per-cell) run can never drift from the serial study.
-pub fn run_perf_mix(
-    mix_index: usize,
-    mixes_seed: u64,
-    sim_seed: u64,
-    defenses: &[DefenseKind],
-    nrh_values: &[u32],
-    scale: Scale,
-) -> Vec<PerfPoint> {
-    let trace = decode_mix_trace(mix_index, mixes_seed, sim_seed, scale, true);
-    let baseline = run_perf_baseline_on(&trace, sim_seed, scale);
-    let cells: Vec<(DefenseKind, u32)> = defenses
-        .iter()
-        .flat_map(|&d| nrh_values.iter().map(move |&n| (d, n)))
-        .collect();
-    run_perf_cells_on(&trace, sim_seed, &cells, &baseline, scale)
-}
-
-/// Averages per-mix cell values (from [`run_perf_mix`], all with the
-/// same `defenses` × `nrh_values` layout) into the Fig. 13 study.
-pub fn merge_perf_mixes(per_mix: &[Vec<PerfPoint>]) -> PerfStudy {
-    let mixes = per_mix.len();
+/// Averages per-mix cell values (all with the same cell layout, as
+/// [`run_perf_cells_on`] returns them) into the Fig. 13 cells: one
+/// point per cell, its normalized weighted speedup the mean over mixes.
+pub fn merge_perf_mixes(per_mix: &[Vec<PerfPoint>]) -> Vec<PerfPoint> {
     let cells = per_mix.first().map_or(0, Vec::len);
-    let points = (0..cells)
+    (0..cells)
         .map(|c| {
             let values: Vec<f64> = per_mix.iter().map(|m| m[c].normalized_ws).collect();
             PerfPoint {
@@ -293,47 +210,48 @@ pub fn merge_perf_mixes(per_mix: &[Vec<PerfPoint>]) -> PerfStudy {
                 ..per_mix[0][c]
             }
         })
-        .collect();
-    PerfStudy { points, mixes }
-}
-
-/// Runs the study over `defenses` × `nrh_values`.
-pub fn run_performance(
-    defenses: &[DefenseKind],
-    nrh_values: &[u32],
-    scale: Scale,
-    seed: u64,
-) -> PerfStudy {
-    let per_mix: Vec<Vec<PerfPoint>> = (0..scale.mixes())
-        .map(|m| {
-            run_perf_mix(
-                m,
-                seed,
-                seed ^ (m as u64) << 16,
-                defenses,
-                nrh_values,
-                scale,
-            )
-        })
-        .collect();
-    merge_perf_mixes(&per_mix)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The Fig. 13 cells over `defenses` × `nrh_values` at quick scale,
+    /// through the chain the `fig13` registry job runs: per mix one
+    /// decoded trace, its baseline and its cells; then the mean over
+    /// mixes. Mix `m` simulates on `seed ^ (m << 16)`.
+    fn quick_study(defenses: &[DefenseKind], nrh_values: &[u32], seed: u64) -> Vec<PerfPoint> {
+        let scale = Scale::Quick;
+        let cells: Vec<(DefenseKind, u32)> = defenses
+            .iter()
+            .flat_map(|&d| nrh_values.iter().map(move |&n| (d, n)))
+            .collect();
+        let per_mix: Vec<Vec<PerfPoint>> = (0..scale.mixes())
+            .map(|m| {
+                let sim_seed = seed ^ ((m as u64) << 16);
+                let trace = decode_mix_trace(m, seed, sim_seed, scale);
+                let baseline = run_perf_baseline_on(&trace, sim_seed, scale);
+                run_perf_cells_on(&trace, sim_seed, &cells, &baseline, scale)
+            })
+            .collect();
+        merge_perf_mixes(&per_mix)
+    }
+
+    /// The normalized WS of one cell.
+    fn cell(points: &[PerfPoint], defense: DefenseKind, nrh: u32) -> Option<f64> {
+        points
+            .iter()
+            .find(|p| p.defense == defense && p.nrh == nrh)
+            .map(|p| p.normalized_ws)
+    }
+
     #[test]
     fn defenses_cost_little_at_high_nrh_and_a_lot_at_low_nrh() {
-        let study = run_performance(
-            &[DefenseKind::Prac, DefenseKind::FrRfm],
-            &[1024, 64],
-            Scale::Quick,
-            3,
-        );
-        let prac_high = study.cell(DefenseKind::Prac, 1024).unwrap();
-        let frrfm_high = study.cell(DefenseKind::FrRfm, 1024).unwrap();
-        let frrfm_low = study.cell(DefenseKind::FrRfm, 64).unwrap();
+        let study = quick_study(&[DefenseKind::Prac, DefenseKind::FrRfm], &[1024, 64], 3);
+        let prac_high = cell(&study, DefenseKind::Prac, 1024).unwrap();
+        let frrfm_high = cell(&study, DefenseKind::FrRfm, 1024).unwrap();
+        let frrfm_low = cell(&study, DefenseKind::FrRfm, 64).unwrap();
         // At NRH=1024 both defenses are cheap (>80 % of baseline).
         assert!(prac_high > 0.8, "PRAC@1024 {prac_high}");
         assert!(frrfm_high > 0.75, "FR-RFM@1024 {frrfm_high}");
@@ -344,14 +262,9 @@ mod tests {
 
     #[test]
     fn riac_beats_fr_rfm_at_very_low_nrh() {
-        let study = run_performance(
-            &[DefenseKind::PracRiac, DefenseKind::FrRfm],
-            &[64],
-            Scale::Quick,
-            5,
-        );
-        let riac = study.cell(DefenseKind::PracRiac, 64).unwrap();
-        let frrfm = study.cell(DefenseKind::FrRfm, 64).unwrap();
+        let study = quick_study(&[DefenseKind::PracRiac, DefenseKind::FrRfm], &[64], 5);
+        let riac = cell(&study, DefenseKind::PracRiac, 64).unwrap();
+        let frrfm = cell(&study, DefenseKind::FrRfm, 64).unwrap();
         assert!(
             riac > frrfm,
             "§11.4: RIAC ({riac}) must outperform FR-RFM ({frrfm}) at NRH=64"
@@ -360,14 +273,9 @@ mod tests {
 
     #[test]
     fn prac_bank_tracks_prac() {
-        let study = run_performance(
-            &[DefenseKind::Prac, DefenseKind::PracBank],
-            &[256],
-            Scale::Quick,
-            7,
-        );
-        let prac = study.cell(DefenseKind::Prac, 256).unwrap();
-        let bank = study.cell(DefenseKind::PracBank, 256).unwrap();
+        let study = quick_study(&[DefenseKind::Prac, DefenseKind::PracBank], &[256], 7);
+        let prac = cell(&study, DefenseKind::Prac, 256).unwrap();
+        let bank = cell(&study, DefenseKind::PracBank, 256).unwrap();
         // §11.4: PRAC-Bank performs within a few percent of PRAC.
         assert!(
             (prac - bank).abs() < 0.08,

@@ -92,16 +92,8 @@ fn leakyhammer_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
     run_covert(&opts).result.capacity_kbps()
 }
 
-/// The §9 comparison: both channels under both row policies.
-pub fn run_row_policy_study(bits_per_channel: usize, seed: u64) -> Vec<RowPolicyPoint> {
-    [RowPolicy::Open, RowPolicy::Closed]
-        .into_iter()
-        .map(|policy| row_policy_point(policy, bits_per_channel, seed))
-        .collect()
-}
-
-/// Both channels under one row policy; exposed so the harness can run
-/// the two policies in parallel.
+/// Both channels under one row policy; the harness runs the two
+/// policies in parallel.
 pub fn row_policy_point(policy: RowPolicy, bits_per_channel: usize, seed: u64) -> RowPolicyPoint {
     let bits = lh_analysis::MessagePattern::Checkered0.bits(bits_per_channel);
     RowPolicyPoint {
@@ -117,12 +109,8 @@ mod tests {
 
     #[test]
     fn closed_page_kills_drama_but_not_leakyhammer() {
-        let study = run_row_policy_study(24, 7);
-        let open = study.iter().find(|p| p.policy == RowPolicy::Open).unwrap();
-        let closed = study
-            .iter()
-            .find(|p| p.policy == RowPolicy::Closed)
-            .unwrap();
+        let open = row_policy_point(RowPolicy::Open, 24, 7);
+        let closed = row_policy_point(RowPolicy::Closed, 24, 7);
         // DRAMA needs the open-row state: works under Open, dies under
         // Closed.
         assert!(

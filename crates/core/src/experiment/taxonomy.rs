@@ -28,7 +28,7 @@ use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span};
 use lh_sim::SimConfig;
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 use crate::Scale;
 
 /// The RowHammer threshold every taxonomy defense is provisioned for.
@@ -60,7 +60,7 @@ pub struct TaxonomyPoint {
 
 impl TaxonomyPoint {
     /// Whether the measurement agrees with the §12 prediction, using the
-    /// thresholds documented on [`run_taxonomy`]. Only the *quiet*
+    /// thresholds documented on [`taxonomy_point`]. Only the *quiet*
     /// condition counts: under heavy noise the generic detection band
     /// also picks up bank-contention latencies, a channel that exists
     /// without any defense (the control row) and is out of scope
@@ -143,26 +143,28 @@ fn measure(
     noise: Option<f64>,
     seed: u64,
 ) -> ChannelResult {
-    let mut results = Vec::new();
-    for (i, pattern) in [MessagePattern::Checkered0, MessagePattern::Checkered1]
-        .iter()
-        .enumerate()
-    {
-        let mut opts = options_for(
-            kind,
-            pattern.bits(bits_per_pattern),
-            seed ^ ((i as u64) << 9),
-        );
+    let patterns = [MessagePattern::Checkered0, MessagePattern::Checkered1];
+    run_pattern_set(&patterns, bits_per_pattern, |i, bits| {
+        let mut opts = options_for(kind, bits, seed ^ ((i as u64) << 9));
         opts.noise_intensity = noise;
-        results.push(run_covert(&opts).result);
-    }
-    ChannelResult::merge(results.iter())
+        opts
+    })
 }
 
-/// Runs the taxonomy study: one covert-channel attempt per §12 defense
-/// class, quiet and under 40 % noise, plus a *no-defense control* row
-/// that measures the residual bank-contention channel through the same
-/// detection band (whatever the noisy columns show beyond the control is
+/// The defense classes the measured taxonomy covers, control row first.
+pub fn taxonomy_kinds() -> Vec<DefenseKind> {
+    let mut kinds = vec![DefenseKind::None];
+    kinds.extend(DefenseKind::taxonomy_set());
+    kinds
+}
+
+/// Measures one §12 defense class: one covert-channel attempt, quiet and
+/// under 40 % noise. The `taxonomy` registry job runs one unit per class
+/// of [`taxonomy_kinds`], with `bits_per_pattern` from [`taxonomy_bits`]
+/// (BlockHammer runs a quarter of the bits because of its 10× window).
+/// The first class is a *no-defense control* row that measures the
+/// residual bank-contention channel through the same detection band
+/// (whatever the noisy columns show beyond the control is
 /// defense-induced; the rest is the footnote-9 contention channel).
 ///
 /// Agreement thresholds (see [`TaxonomyPoint::agrees`]): a `None`-risk
@@ -180,24 +182,6 @@ fn measure(
 /// covert-channel timescales. The taxonomy's "approximate triggers only
 /// add noise" is right about observability but misses this *temporal*
 /// dimension; the report keeps the disagreement visible on purpose.
-pub fn run_taxonomy(scale: Scale, seed: u64) -> Vec<TaxonomyPoint> {
-    taxonomy_kinds()
-        .into_iter()
-        .map(|kind| taxonomy_point(kind, taxonomy_bits(kind, scale), seed))
-        .collect()
-}
-
-/// The defense classes the measured taxonomy covers, control row first.
-pub fn taxonomy_kinds() -> Vec<DefenseKind> {
-    let mut kinds = vec![DefenseKind::None];
-    kinds.extend(DefenseKind::taxonomy_set());
-    kinds
-}
-
-/// Measures one defense class (quiet + 40 % noise); exposed so the
-/// harness can run the classes in parallel. `bits_per_pattern` should
-/// come from [`run_taxonomy`]'s per-kind budget (BlockHammer runs a
-/// quarter of the bits because of its 10× window).
 pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> TaxonomyPoint {
     let quiet = measure(kind, bits_per_pattern, None, seed);
     let noisy = measure(kind, bits_per_pattern, Some(40.0), seed ^ 0xff);
@@ -211,7 +195,7 @@ pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> 
     }
 }
 
-/// The per-kind message budget [`run_taxonomy`] uses at `scale`.
+/// The per-kind message budget at `scale`.
 pub fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
     let b = scale.message_bits() / 4;
     if kind == DefenseKind::BlockHammer {

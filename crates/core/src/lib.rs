@@ -4,8 +4,15 @@
 //! Channel and Side Channel Vulnerabilities Introduced by RowHammer
 //! Defenses"* (MICRO 2025). This crate is the top of the stack: it wires
 //! the substrate crates (DRAM device, memory controller, defenses,
-//! system simulator, attacks, workloads, ML) into one runner per paper
-//! experiment and formats results in the paper's units.
+//! system simulator, attacks, workloads, ML) into paper experiments and
+//! formats results in the paper's units.
+//!
+//! The experiment catalog, [`registry()`], is the runner: it holds one
+//! harness job per paper figure or table, which splits the experiment into units (sweep
+//! points, mixes, defense classes), runs each unit through a point
+//! function of [`experiment`], merges the unit results and renders the
+//! report. `lh-experiments`, the coordinator fleet and the HTTP service
+//! all run figures through it.
 //!
 //! * Covert channels over PRAC back-offs and PRFM RFM commands
 //!   ([`experiment::covert`]), with noise and application-interference

@@ -565,3 +565,74 @@ impl Job for TaxonomyJob {
         s
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lh_defenses::DefenseKind;
+    use lh_harness::ScaleLevel;
+
+    /// The §11.4 study at quick scale, every arm on seed 13, reduced by
+    /// [`MitigationJob::finish`] — the one copy of the reduction formula.
+    fn quick_mitigation_points() -> Vec<Json> {
+        let ctx = JobContext::new(ScaleLevel::Quick, 13);
+        let units = (0..MitigationJob.units(&ctx).len())
+            .map(|unit| MitigationJob.run_unit(unit, 13, &[], &ctx))
+            .collect();
+        MitigationJob.finish(units, &ctx)["points"]
+            .as_array()
+            .to_vec()
+    }
+
+    /// The capacity reduction (percent) of the arm with this label.
+    fn reduction_of_arm(points: &[Json], label: &str) -> Option<f64> {
+        points
+            .iter()
+            .find(|p| p["defense"].as_str() == Some(label))
+            .map(|p| num(p, "reduction_pct"))
+    }
+
+    #[test]
+    fn fr_rfm_eliminates_and_riac_degrades() {
+        let points = quick_mitigation_points();
+        let prac = num(&points[0], "capacity_kbps");
+        assert_eq!(text(&points[0], "defense"), "PRAC");
+        assert!(prac > 20.0, "baseline capacity {prac}");
+        let frrfm = reduction_of_arm(&points, DefenseKind::FrRfm.label()).unwrap();
+        assert!(
+            frrfm > 95.0,
+            "FR-RFM must (nearly) eliminate the channel, reduction {frrfm}%"
+        );
+        let riac = reduction_of_arm(&points, DefenseKind::PracRiac.label()).unwrap();
+        assert!(
+            riac > 20.0,
+            "RIAC must reduce capacity substantially, reduction {riac}%"
+        );
+        assert!(
+            riac < frrfm + 1.0,
+            "RIAC reduces less than FR-RFM eliminates ({riac}% vs {frrfm}%)"
+        );
+    }
+
+    #[test]
+    fn wrapper_arms_do_not_widen_the_channel() {
+        // The wrapped arms ride the same run_covert path; the shaper's
+        // constant RFM stream must cost the PRAC channel capacity, and
+        // no wrapper may make the channel *faster* than bare PRAC.
+        let points = quick_mitigation_points();
+        let baseline = num(&points[0], "capacity_kbps");
+        let shaper = reduction_of_arm(&points, "PRAC+shaper").unwrap();
+        assert!(
+            shaper > 20.0,
+            "the shaper must cost the PRAC channel real capacity, got {shaper}%"
+        );
+        for p in &points {
+            assert!(
+                num(p, "capacity_kbps") <= baseline + 1e-9,
+                "{} widened the channel ({} > {baseline} Kbps)",
+                text(p, "defense"),
+                num(p, "capacity_kbps")
+            );
+        }
+    }
+}

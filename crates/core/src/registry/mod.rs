@@ -2,11 +2,12 @@
 //!
 //! Each adapter decomposes its experiment into independently runnable
 //! *units* (sweep points, fingerprint traces, workload mixes), runs a
-//! unit from a derived seed, and renders the merged JSON result as the
-//! same plain-text report the figure/table runner has always printed.
-//! [`registry`] returns the full catalog in paper order; the
-//! `lh-experiments` binary and the integration tests run everything
-//! through it.
+//! unit from a derived seed through a point function of
+//! [`crate::experiment`], and renders the merged JSON result as the
+//! figure/table's plain-text report. [`registry`] returns the full
+//! catalog in paper order; it is the only way to run and render a
+//! figure — the `lh-experiments` binary, the coordinator fleet, the HTTP
+//! service, the examples and the integration tests all go through it.
 //!
 //! Determinism contract: a unit's result depends only on
 //! `(experiment id, unit index, scale, derived seed)` — never on

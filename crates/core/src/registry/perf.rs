@@ -6,8 +6,7 @@
 //! `mixes × defenses × NRH` workers instead of `mixes`, while the
 //! expensive baseline simulations still run exactly once per mix —
 //! warm from the cache on reruns. `finish` reassembles the per-mix
-//! cell grids and reuses the study's own merge, so the sharded path
-//! can never drift from `run_performance`'s aggregation.
+//! cell grids and averages them with `merge_perf_mixes`.
 
 use lh_harness::{Job, JobContext, Json};
 
@@ -37,7 +36,7 @@ fn cells_per_mix() -> usize {
 
 /// The memoized decoded trace of one mix — built at most once per
 /// process, shared by the mix's baseline unit and every cell unit that
-/// lands in the same process. Always the *uncounted* decode: whether a
+/// lands in the same process. The decode ticks no counter: whether a
 /// unit got a memo hit or rebuilt depends on scheduling, and per-unit
 /// counters (pinned in the envelope snapshots) must not.
 fn mix_trace(ctx: &JobContext, mix: usize, sim_seed: u64, scale: Scale) -> Arc<SharedTrace> {
@@ -46,9 +45,8 @@ fn mix_trace(ctx: &JobContext, mix: usize, sim_seed: u64, scale: Scale) -> Arc<S
         scale.mixes(),
         ctx.seed
     );
-    ctx.memo.get_or_build(&key, || {
-        decode_mix_trace(mix, ctx.seed, sim_seed, scale, false)
-    })
+    ctx.memo
+        .get_or_build(&key, || decode_mix_trace(mix, ctx.seed, sim_seed, scale))
 }
 
 impl PerfJob {
@@ -153,9 +151,8 @@ impl Job for PerfJob {
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
         // Reassemble each mix's `figure13_set() × NRH_SWEEP` grid from
-        // the cell units (baseline units carry no cells) and reuse the
-        // study's own merge so the harness path can never drift from
-        // `run_performance`'s aggregation.
+        // the cell units (baseline units carry no cells) and average the
+        // grids over mixes.
         let defenses = DefenseKind::figure13_set();
         let per_mix_cells = cells_per_mix();
         let mixes = units.len() / (1 + per_mix_cells);
@@ -173,12 +170,10 @@ impl Job for PerfJob {
                     .collect()
             })
             .collect();
-        let study = merge_perf_mixes(&per_mix);
-        Json::object().with("mixes", study.mixes).with(
+        Json::object().with("mixes", mixes).with(
             "cells",
             Json::Array(
-                study
-                    .points
+                merge_perf_mixes(&per_mix)
                     .iter()
                     .map(|p| {
                         Json::object()

@@ -345,11 +345,25 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+///
+/// The parser recurses once per level, so without a bound a hostile
+/// document — a serve request body of a few KB of `[` — overflows the
+/// parsing thread's stack and aborts the process. Every document this
+/// workspace writes nests far below it (the committed snapshots are
+/// checked against it).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
+///
+/// # Errors
+///
+/// Fails on malformed input and on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -363,6 +377,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -407,11 +423,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse_inner: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse_inner(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -607,6 +638,17 @@ mod tests {
         assert_eq!(err.offset, 6);
         assert!(parse("[1, 2").is_err());
         assert!(parse("01x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past_limit = format!("{{\"a\":{at_limit}}}");
+        assert!(parse(&past_limit).is_err());
     }
 
     #[test]

@@ -433,22 +433,14 @@ pub fn transmit_payload(
             .enumerate()
             .map(|(i, &symbol)| {
                 let t0 = window * (cfg.rx_lead_windows + preamble + i) as u64;
-                let events = observations.get(i).map_or(0, |o| u64::from(o.events));
-                let observed = events >= u64::from(cal.trecv);
-                let verdict = match (symbol != 0, observed) {
-                    (true, true) => "hit",
-                    (true, false) => "miss",
-                    (false, true) => "false-positive",
-                    (false, false) => "idle",
-                };
-                lh_obs::FlightEvent::Link {
-                    t_ns: t0.as_ps() / 1_000,
-                    t_end_ns: (t0 + window).as_ps() / 1_000,
-                    window: i as u64,
-                    symbol: u64::from(symbol),
-                    events,
-                    verdict,
-                }
+                lh_obs::FlightEvent::link_window(
+                    t0.as_ps() / 1_000,
+                    (t0 + window).as_ps() / 1_000,
+                    i as u64,
+                    u64::from(symbol),
+                    observations.get(i).map_or(0, |o| u64::from(o.events)),
+                    u64::from(cal.trecv),
+                )
             })
             .collect();
         lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());

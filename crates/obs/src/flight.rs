@@ -120,6 +120,35 @@ pub enum FlightEvent {
 }
 
 impl FlightEvent {
+    /// One link-layer symbol window `[t_ns, t_end_ns)`: the sender
+    /// modulated `symbol` into it and the receiver counted `events`,
+    /// reading the window as "on" at `events >= threshold`. The verdict
+    /// sets that reading against the symbol: `hit`, `miss`,
+    /// `false-positive` or `idle`.
+    pub fn link_window(
+        t_ns: u64,
+        t_end_ns: u64,
+        window: u64,
+        symbol: u64,
+        events: u64,
+        threshold: u64,
+    ) -> FlightEvent {
+        let verdict = match (symbol != 0, events >= threshold) {
+            (true, true) => "hit",
+            (true, false) => "miss",
+            (false, true) => "false-positive",
+            (false, false) => "idle",
+        };
+        FlightEvent::Link {
+            t_ns,
+            t_end_ns,
+            window,
+            symbol,
+            events,
+            verdict,
+        }
+    }
+
     /// The event's simulated-ns timestamp (window start for links).
     pub fn t_ns(&self) -> u64 {
         match self {
@@ -500,6 +529,19 @@ mod tests {
             bank: 2,
             row: Some(41),
         }
+    }
+
+    #[test]
+    fn link_window_verdict_sets_the_reading_against_the_symbol() {
+        let verdict =
+            |symbol, events| match FlightEvent::link_window(0, 25_000, 0, symbol, events, 2) {
+                FlightEvent::Link { verdict, .. } => verdict,
+                other => panic!("{other:?}"),
+            };
+        assert_eq!(verdict(1, 2), "hit");
+        assert_eq!(verdict(1, 1), "miss");
+        assert_eq!(verdict(0, 3), "false-positive");
+        assert_eq!(verdict(0, 0), "idle");
     }
 
     #[test]

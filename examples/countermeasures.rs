@@ -7,15 +7,19 @@
 //!
 //! Run with: `cargo run --release --example countermeasures`
 
-use leakyhammer::experiment::countermeasures::run_mitigation_study;
 use leakyhammer::report;
-use leakyhammer::Scale;
+use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!("LeakyHammer countermeasures (sec. 11)\n");
     println!("running the PRAC covert attack against each configuration ...\n");
-    let study = run_mitigation_study(Scale::Quick, 9);
-    print!("{}", report::mitigation_report(&study));
+    let registry = leakyhammer::registry();
+    let job = registry.get("mitigation").expect("mitigation registered");
+    let ctx = JobContext::new(ScaleLevel::Quick, 9);
+    let run = Runner::new(RunnerOptions::default())
+        .run(job, &ctx)
+        .expect("the mitigation job runs");
+    print!("{}", job.render_text(&run.merged, &ctx));
     println!(
         "\nFR-RFM decouples preventive actions from access patterns (fixed-rate\n\
          RFMs) and eliminates the channel; RIAC randomizes counter phases and\n\

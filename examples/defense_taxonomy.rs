@@ -9,10 +9,10 @@
 //! taxonomy's qualitative prediction.
 //!
 //! Run with: `cargo run --release --example defense_taxonomy`
-//! (takes a few minutes; the BlockHammer windows are long)
+//! (quick scale; well under a second once built)
 
-use leakyhammer::experiment::taxonomy::{run_taxonomy, TAXONOMY_NRH};
-use leakyhammer::{report, Scale};
+use leakyhammer::experiment::taxonomy::TAXONOMY_NRH;
+use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!(
@@ -21,17 +21,24 @@ fn main() {
          noise microbenchmark at 40% intensity)\n"
     );
 
-    let points = run_taxonomy(Scale::Quick, 1);
-    print!("{}", report::taxonomy_measured_report(&points));
+    let registry = leakyhammer::registry();
+    let job = registry.get("taxonomy").expect("taxonomy registered");
+    let ctx = JobContext::new(ScaleLevel::Quick, 1);
+    let run = Runner::new(RunnerOptions::default())
+        .run(job, &ctx)
+        .expect("the taxonomy job runs");
+    print!("{}", job.render_text(&run.merged, &ctx));
 
     println!();
-    for p in &points {
-        if !p.agrees() {
+    for p in run.merged["points"].as_array() {
+        if p["agrees"].as_bool() == Some(false) {
+            let defense = p["defense"].as_str().unwrap_or_default();
             println!(
-                "NOTE: {} measured {:.1} Kbps, outside its predicted {:?} envelope.",
-                p.kind, p.quiet_kbps, p.predicted
+                "NOTE: {defense} measured {:.1} Kbps, outside its predicted {} envelope.",
+                p["quiet_kbps"].as_f64().unwrap_or(f64::NAN),
+                p["predicted"].as_str().unwrap_or_default()
             );
-            if p.kind == lh_defenses::DefenseKind::BlockHammer {
+            if defense == lh_defenses::DefenseKind::BlockHammer.label() {
                 println!(
                     "      (BlockHammer's blacklist spans a 16 ms epoch: one decision\n\
                      \u{20}     shadows hundreds of windows, capping modulation at ~1\n\

@@ -5,14 +5,33 @@
 //! never re-executes a unit — and switching recording on never changes
 //! the experiment envelope.
 //!
-//! The flight switch is process-global, so everything that flips it
-//! lives in one `#[test]` (the harness runs test fns concurrently on
-//! threads; two tests toggling the switch would race).
+//! A second test checks the `link` events both covert-channel drivers
+//! emit, one per symbol window, against the bits they carried.
+//!
+//! The flight switch is process-global and the harness runs test fns
+//! concurrently on threads, so every test that flips it holds
+//! [`flight_switch`] for its whole body.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
+
+use lh_analysis::message::bits_of_str;
 use lh_coord::{Coordinator, CoordinatorOptions};
+use lh_defenses::DefenseKind;
+use lh_harness::json::parse;
 use lh_harness::{sink, OutputFormat};
 use lh_harness::{DiskCache, JobContext, Runner, RunnerOptions, ScaleLevel};
+use lh_link::{calibrate, transmit_message, LinkConfig, OnOffKeying, Plain};
+use lh_obs::FlightEvent;
 use lh_serve::ThreadSpawner;
+
+/// Serializes the tests that toggle the process-global flight switch.
+fn flight_switch() -> MutexGuard<'static, ()> {
+    static SWITCH: Mutex<()> = Mutex::new(());
+    SWITCH
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn ctx() -> JobContext {
     JobContext::new(ScaleLevel::Quick, 1)
@@ -29,6 +48,7 @@ fn runner(jobs: usize, cache: Option<DiskCache>) -> Runner {
 
 #[test]
 fn event_log_is_byte_identical_across_execution_modes() {
+    let _switch = flight_switch();
     let registry = leakyhammer::registry();
     let job = registry.get("fig2").expect("fig2 registered");
 
@@ -134,4 +154,58 @@ fn event_log_is_byte_identical_across_execution_modes() {
     );
 
     cache.clear().expect("cleanup");
+}
+
+/// Asserts the link-window verdicts of one exactly decoded transmission
+/// of `bits`: a hit per 1-bit, an idle per 0-bit, no misses and no false
+/// positives.
+fn assert_exact_verdicts(what: &str, verdicts: &[String], bits: &[u8]) {
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+    for v in verdicts {
+        *counts.entry(v.as_str()).or_insert(0) += 1;
+    }
+    let count = |verdict: &str| counts.get(verdict).copied().unwrap_or(0);
+    let ones = bits.iter().filter(|&&b| b != 0).count();
+    assert_eq!(count("hit"), ones, "{what}: {counts:?}");
+    assert_eq!(count("idle"), bits.len() - ones, "{what}: {counts:?}");
+    assert_eq!(count("miss"), 0, "{what}: {counts:?}");
+    assert_eq!(count("false-positive"), 0, "{what}: {counts:?}");
+}
+
+#[test]
+fn link_window_events_match_the_sent_bits() {
+    let _switch = flight_switch();
+    lh_obs::flight::set_enabled(true);
+
+    // fig3 through the harness: the experiment driver's windows.
+    let registry = leakyhammer::registry();
+    let job = registry.get("fig3").expect("fig3 registered");
+    let run = runner(1, None).run(job, &ctx()).expect("fig3 run");
+    assert_eq!(run.merged["decoded"].as_str(), Some("MICRO"));
+    let log = run.events.expect("recording on produces a log");
+    let fig3: Vec<String> = log
+        .lines()
+        .map(|line| parse(line).expect("NDJSON line"))
+        .filter(|e| e["kind"].as_str() == Some("link"))
+        .map(|e| e["verdict"].as_str().expect("verdict").to_owned())
+        .collect();
+    assert_exact_verdicts("fig3", &fig3, &bits_of_str("MICRO"));
+
+    // One OOK/Plain transmission over PRAC: the lh-link driver's
+    // windows.
+    let cfg = LinkConfig::against(DefenseKind::Prac, 256, 1);
+    let cal = calibrate(&cfg, &OnOffKeying, 6);
+    let msg = bits_of_str("HI");
+    let (out, log) =
+        lh_obs::flight::capture(|| transmit_message(&cfg, &OnOffKeying, &Plain, &cal, &msg));
+    lh_obs::flight::set_enabled(false);
+    assert_eq!(out.decoded, msg, "OOK over PRAC must be error-free");
+    let link: Vec<String> = log
+        .entries()
+        .filter_map(|(_, e)| match e {
+            FlightEvent::Link { verdict, .. } => Some((*verdict).to_owned()),
+            _ => None,
+        })
+        .collect();
+    assert_exact_verdicts("lh-link OOK/Plain", &link, &msg);
 }

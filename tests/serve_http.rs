@@ -241,6 +241,21 @@ fn submission_errors_are_structured() {
 }
 
 #[test]
+fn deeply_nested_body_is_rejected_without_killing_the_server() {
+    let base = start_server();
+
+    // Each `[` is one parser recursion on the connection's thread; an
+    // unbounded parser overflows that thread's stack and aborts the
+    // whole process.
+    let deep = "[".repeat(10_000);
+    let rejected = client::post(&format!("{base}/runs"), deep.as_bytes()).expect("post");
+    assert_eq!(rejected.status, 400, "{}", rejected.text());
+
+    let health = client::get(&format!("{base}/healthz")).expect("server still up");
+    assert_eq!(health.status, 200);
+}
+
+#[test]
 fn version_reports_the_binary_fingerprint() {
     let base = start_server();
     let version = client::get(&format!("{base}/version")).expect("get");
