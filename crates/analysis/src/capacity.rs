@@ -1,7 +1,5 @@
 //! Channel-capacity metrics (§5.2, Eq. 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Binary entropy `H(e) = -e log2 e - (1-e) log2 (1-e)`.
 ///
 /// `H(0) = H(1) = 0`, `H(0.5) = 1`.
@@ -24,7 +22,7 @@ pub fn channel_capacity(raw_bit_rate: f64, error_probability: f64) -> f64 {
 }
 
 /// Outcome of a covert-channel transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelResult {
     /// Bits transmitted.
     pub bits: usize,

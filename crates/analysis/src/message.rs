@@ -1,9 +1,7 @@
 //! Message encodings used by the covert-channel experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// The test-message patterns of §6.3 / §7.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessagePattern {
     /// All logic-1 bits.
     AllOnes,

@@ -1,9 +1,7 @@
 //! Multiprogrammed-performance metrics for the Fig. 13 evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-application measurement of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppPerf {
     /// Instructions retired.
     pub instructions: u64,

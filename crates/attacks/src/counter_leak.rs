@@ -10,8 +10,6 @@
 
 use core::any::Any;
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 use lh_sim::{MemAccess, Process, ProcessStep};
 
@@ -31,7 +29,7 @@ pub struct CounterLeakAttacker {
 }
 
 /// Outcome of one counter-leak measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterLeakResult {
     /// The attacker's own activations of the shared row before the
     /// back-off fired.

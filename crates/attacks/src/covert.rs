@@ -26,13 +26,11 @@
 
 use core::any::Any;
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 use lh_sim::{MemAccess, Process, ProcessStep};
 
 /// Per-window observations recorded by the receiver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowObservation {
     /// High-latency events detected (≥ the configured threshold).
     pub events: u32,
@@ -51,7 +49,7 @@ pub struct WindowObservation {
 /// arrive on a strict `tREFI` grid, so a candidate event whose distance
 /// from an earlier candidate is a small multiple of the refresh interval
 /// (within `tolerance`) is classified as a refresh and not counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshFilterConfig {
     /// The periodic-refresh interval (`tREFI`, per rank).
     pub period: Span,
@@ -109,7 +107,7 @@ impl RefreshPhase {
 }
 
 /// Covert-channel receiver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiverConfig {
     /// Physical address of the receiver's private row (`RowR`).
     pub row_addr: u64,
@@ -265,7 +263,7 @@ impl Process for CovertReceiver {
 }
 
 /// Covert-channel sender configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenderConfig {
     /// The sender's two private rows (`RowS1`, `RowS2`), accessed
     /// alternately to force row activations.

@@ -10,8 +10,6 @@
 
 use core::any::Any;
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 use lh_sim::{LatencyTrace, MemAccess, Process, ProcessStep};
 
@@ -84,7 +82,7 @@ impl Process for FingerprintProbe {
 
 /// A fingerprint: the timestamps of the back-offs a victim's execution
 /// caused, as observed by the probe.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Fingerprint {
     /// Back-off timestamps relative to the start of the observation.
     pub events: Vec<Time>,

@@ -4,15 +4,13 @@
 //! increasing memory intensity (L/M/H RBMPKI) and reports error
 //! probability and capacity per intensity level.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::MessagePattern;
 use lh_workloads::{AppProfile, Intensity};
 
 use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One interference level's measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppNoisePoint {
     /// Interference category.
     pub intensity: Intensity,

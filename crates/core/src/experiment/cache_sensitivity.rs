@@ -5,15 +5,13 @@
 //! (5.8 % for PRAC, 2.1 % for RFM) — the attacks bypass the caches with
 //! `clflush`, so only second-order effects remain.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::MessagePattern;
 use lh_sim::{BopConfig, CacheConfig};
 
 use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// Capacity of one channel under the two hierarchies.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CachePoint {
     /// Which channel.
     pub kind: ChannelKind,

@@ -1,13 +1,11 @@
 //! Table 3 (information leaked by LeakyHammer vs DRAMA per colocation
 //! granularity) and the §12 defense-taxonomy table, as data.
 
-use serde::{Deserialize, Serialize};
-
 use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::DefenseKind;
 
 /// Colocation granularity between attacker and victim data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Colocation {
     /// Same channel / bank group only.
     ChannelOrBankGroup,
@@ -18,7 +16,7 @@ pub enum Colocation {
 }
 
 /// What an attack leaks at a given colocation granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Leak {
     /// Nothing observable.
     Nothing,
@@ -34,7 +32,7 @@ pub enum Leak {
 }
 
 /// The attacks compared in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackName {
     /// LeakyHammer over PRAC back-offs.
     LeakyHammerPrac,
@@ -103,7 +101,7 @@ pub fn leak_of(attack: AttackName, colocation: Colocation) -> Leak {
 }
 
 /// One row of the §12 qualitative defense analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaxonomyRow {
     /// The defense.
     pub defense: DefenseKind,

@@ -5,15 +5,13 @@
 //! secret from its own activation count. The paper reports leaking a
 //! 7-bit counter value in 13.6 µs on average (≈501 Kbps).
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::{ChannelLayout, CounterLeakAttacker, CounterLeakVictim, LatencyClassifier};
 use lh_defenses::DefenseConfig;
 use lh_dram::{Span, Time};
 use lh_sim::{SimConfig, SystemBuilder};
 
 /// One trial's result.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeakTrial {
     /// The victim's secret activation count.
     pub secret: u32,
@@ -24,7 +22,7 @@ pub struct LeakTrial {
 }
 
 /// Aggregate over many trials.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CounterLeakOutcome {
     /// The back-off threshold used.
     pub nbo: u32,

@@ -10,8 +10,6 @@
 //! `mitsweep` Pareto matrix uses — the figure path and the sweep share
 //! one mitigation implementation.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::MessagePattern;
 use lh_defenses::DefenseConfig;
 use lh_dram::DramTiming;
@@ -21,7 +19,7 @@ use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One arm of the §11.4 study: a deployed defense plus the
 /// countermeasure wrappers stacked over it (empty = the bare defense).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MitigationArm {
     /// Report label (`"PRAC"`, `"PRAC+shaper"`, …).
     pub label: String,

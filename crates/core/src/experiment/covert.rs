@@ -4,8 +4,6 @@
 //! generator and SPEC-like co-runners — into a full system and measures
 //! the channel: decoded bits, error probability and capacity (Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
@@ -18,7 +16,7 @@ use lh_sim::{SimConfig, SystemBuilder};
 use lh_workloads::{AppProfile, SyntheticApp};
 
 /// Which LeakyHammer covert channel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// PRAC back-off channel (§6.3): 25 µs windows, `NBO` = 128.
     Prac,
@@ -94,7 +92,10 @@ pub struct CovertOptions {
     pub receiver_think: Option<Span>,
     /// §10.1 cadence-based refresh filter for the receiver.
     pub refresh_filter: Option<lh_attacks::RefreshFilterConfig>,
-    /// Seed.
+    /// Seed of the SPEC-like co-runners' address streams: [`run_covert`]
+    /// seeds co-runner `i` with `seed ^ (i + 7)` and uses it for nothing
+    /// else. The system, and with it any defense randomness (PARA, MINT,
+    /// RIAC), is seeded by `sim.seed` alone.
     pub seed: u64,
 }
 
@@ -119,7 +120,7 @@ impl CovertOptions {
 }
 
 /// Result of one covert transmission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CovertOutcome {
     /// Channel metrics (raw rate, error probability, capacity).
     pub result: ChannelResult,

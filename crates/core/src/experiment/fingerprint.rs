@@ -4,8 +4,6 @@
 //! runs on another core; the probe's back-off trace becomes a
 //! [`Fingerprint`] whose features feed the eight Fig. 10 classifiers.
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::{ChannelLayout, Fingerprint, FingerprintProbe, LatencyClassifier};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
@@ -19,7 +17,7 @@ use crate::Scale;
 pub const FEATURE_WINDOWS: usize = 12;
 
 /// One collected trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollectedTrace {
     /// Website index (label).
     pub site: usize,
@@ -139,7 +137,7 @@ pub fn to_dataset(traces: &[CollectedTrace]) -> Dataset {
 }
 
 /// Fig. 10: per-model test accuracy via k-fold cross-validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassifierAccuracy {
     /// Model name.
     pub model: String,

@@ -5,15 +5,13 @@
 //! finds the timing channel survives down to ~10 ns — far below the
 //! 96–192 ns a refresh-based preventive action physically needs.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::MessagePattern;
 use lh_dram::Span;
 
 use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One sweep point of Fig. 12.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyPoint {
     /// The preventive-action (back-off) latency in ns.
     pub action_latency_ns: u64,

@@ -4,15 +4,13 @@
 //! conflicting rows) against a defended system and reports the latency
 //! trace plus per-band statistics.
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::{ChannelLayout, LatencyClass, LatencyClassifier};
 use lh_defenses::DefenseConfig;
 use lh_dram::{Span, Time};
 use lh_sim::{LatencySample, LoopProcess, SimConfig, SystemBuilder};
 
 /// Outcome of a latency-trace run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyTraceOutcome {
     /// Per-iteration samples, in order (the Fig. 2 series).
     pub samples: Vec<LatencySample>,

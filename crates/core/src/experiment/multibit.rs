@@ -11,8 +11,6 @@
 //! synchronization, so the reported rates include the sync overhead a
 //! real deployment pays.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{bits_of_str, bits_to_symbols, channel_capacity};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span};
@@ -22,7 +20,7 @@ use lh_link::{
 };
 
 /// Outcome of a multibit transmission (one row of the §6.3 comparison).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultibitOutcome {
     /// Symbol alphabet size (2, 3 or 4).
     pub base: u8,

@@ -1,7 +1,5 @@
 //! Noise-intensity sweeps: Figs. 4, 7 and 11.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_attacks::LatencyClassifier;
 use lh_dram::Span;
@@ -9,7 +7,7 @@ use lh_dram::Span;
 use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NoisePoint {
     /// Noise intensity in percent (Eq. 2).
     pub intensity: f64,

@@ -19,13 +19,11 @@
 //! | FR-RFM | time-based, observable | none |
 //! | MINT | random, overlapped | none |
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_attacks::LatencyClassifier;
 use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::{DefenseConfig, DefenseKind};
-use lh_dram::{DramTiming, Span};
+use lh_dram::DramTiming;
+use lh_link::LinkTuning;
 use lh_sim::SimConfig;
 
 use crate::experiment::covert::{run_pattern_set, ChannelKind, CovertOptions};
@@ -39,7 +37,7 @@ use crate::Scale;
 pub const TAXONOMY_NRH: u32 = 256;
 
 /// One taxonomy measurement.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaxonomyPoint {
     /// The defense attacked.
     pub kind: DefenseKind,
@@ -75,19 +73,8 @@ impl TaxonomyPoint {
     }
 }
 
-/// Attack parameters an adaptive attacker picks for `kind`.
-///
-/// The observable event differs per defense class, so the receiver's
-/// detection band does too:
-///
-/// * PRAC — the multi-RFM back-off (≥ the refresh band);
-/// * victim-refresh trackers (Graphene/Hydra/CoMeT/PARA) — an in-bank
-///   ACT+PRE pair per victim, which lands in the single-RFM band
-///   (above a plain conflict, below a periodic refresh);
-/// * FR-RFM / MINT — the attacker's best guess is the RFM band (there is
-///   nothing defense-triggered to see, which is the point);
-/// * BlockHammer — the throttle delay, orders of magnitude above any
-///   DRAM event, with a correspondingly longer window.
+/// Attack parameters an adaptive attacker picks for `kind`: the
+/// window, detection band and `Trecv` of [`LinkTuning::for_defense`].
 fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
     let timing = DramTiming::ddr5_4800();
     let defense = DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing);
@@ -97,43 +84,12 @@ fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
         ChannelKind::Rfm
     };
     let mut opts = CovertOptions::new(base_kind, bits);
-    let cls = LatencyClassifier::from_timing(&timing, opts.think);
+    let t = LinkTuning::for_defense(kind, &timing, opts.think);
     opts.sim = SimConfig::paper_default(defense);
     opts.seed = seed;
-    match kind {
-        DefenseKind::Prac => {
-            // The paper's §6.3 configuration, untouched.
-        }
-        DefenseKind::Graphene | DefenseKind::Hydra | DefenseKind::Comet | DefenseKind::Para => {
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(1);
-        }
-        DefenseKind::FrRfm | DefenseKind::Mint => {
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(3);
-        }
-        DefenseKind::BlockHammer => {
-            // The throttle delay is ~tens of µs: stretch the window so a
-            // stalled probe still completes inside it, and detect by the
-            // stall itself.
-            opts.window = Span::from_us(250);
-            opts.detection_band = Some((Span::from_us(5), Span::MAX));
-            opts.trecv = Some(1);
-        }
-        DefenseKind::None => {
-            // Control row: same attack parameters as the tracker kinds,
-            // measuring the defenseless contention channel through the
-            // same detection band.
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(3);
-        }
-        DefenseKind::Prfm | DefenseKind::PracRiac | DefenseKind::PracBank => {
-            unreachable!("not part of the taxonomy set")
-        }
-    }
+    opts.window = t.window;
+    opts.detection_band = Some((t.detect, t.detect_max));
+    opts.trecv = Some(t.trecv);
     opts
 }
 
@@ -208,6 +164,7 @@ pub fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lh_dram::Span;
 
     #[test]
     fn none_risk_defenses_have_no_channel() {

@@ -4,10 +4,8 @@
 //! Criterion benches stay fast while `--full` runs reproduce the paper's
 //! sample sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// How much work an experiment performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// Seconds-scale smoke runs (CI / Criterion).
     Quick,

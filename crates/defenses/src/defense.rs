@@ -27,7 +27,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use lh_dram::{BankId, Geometry, RfmScope, Span, Time};
 
@@ -35,7 +34,7 @@ use crate::config::{DefenseConfig, DefenseKind};
 use crate::trackers::{BlockHammerBank, CometBank, GrapheneBank, HydraBank, MintBank, MintConfig};
 
 /// A preventive action the controller must perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseAction {
     /// Issue an RFM command on `rank` with the given scope.
     IssueRfm {
@@ -71,7 +70,7 @@ pub enum DefenseAction {
 /// all-bank stream); the struct still carries the scope so a future
 /// defense can schedule narrower operations without touching the
 /// controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Maintenance {
     /// Target rank.
     pub rank: u32,
@@ -85,7 +84,7 @@ pub struct Maintenance {
 }
 
 /// Counters kept by every defense.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefenseStats {
     /// RFMs requested by PRFM counters.
     pub prfm_rfms: u64,

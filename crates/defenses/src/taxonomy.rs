@@ -7,12 +7,10 @@
 //! resulting channel risk — the programmatic form of the paper's §12
 //! discussion and the basis of the Table 3 capability matrix.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DefenseKind;
 
 /// How a defense's trigger algorithm decides to act (§12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TriggerClass {
     /// Perfect per-resource tracking (PRAC, PRFM counters): an attacker
     /// can trigger preventive actions deterministically.
@@ -29,7 +27,7 @@ pub enum TriggerClass {
 }
 
 /// Whether a preventive action's latency is observable (§12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionVisibility {
     /// The action blocks DRAM and is visible as extra latency
     /// (preventive refresh, row migration, throttling).
@@ -40,7 +38,7 @@ pub enum ActionVisibility {
 }
 
 /// Resulting timing-channel exposure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ChannelRisk {
     /// No defense-induced timing channel.
     None,
@@ -51,7 +49,7 @@ pub enum ChannelRisk {
 }
 
 /// The (visibility, trigger) profile of a defense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DefenseProfile {
     /// Trigger algorithm class.
     pub trigger: TriggerClass,

@@ -28,8 +28,6 @@
 //! All trackers are deterministic given their seed, like everything else
 //! in this workspace.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 
 // ---------------------------------------------------------------------------
@@ -37,7 +35,7 @@ use lh_dram::{Span, Time};
 // ---------------------------------------------------------------------------
 
 /// Configuration of a Graphene-style per-bank frequent-item tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrapheneConfig {
     /// Number of counter entries per bank.
     ///
@@ -97,7 +95,7 @@ impl GrapheneConfig {
 /// // Third activation reaches the threshold: row 7 must be mitigated.
 /// assert_eq!(g.on_activate(7, Time::ZERO), Some(7));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GrapheneBank {
     cfg: GrapheneConfig,
     /// `(row, estimated count)`; linear scan is fine at these sizes.
@@ -183,7 +181,7 @@ impl GrapheneBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a Hydra-style two-level tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HydraConfig {
     /// Rows per group counter.
     pub group_size: u32,
@@ -252,7 +250,7 @@ impl HydraConfig {
 /// assert_eq!(h.on_activate(0, Time::ZERO), None);
 /// assert_eq!(h.on_activate(0, Time::ZERO), Some(0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HydraBank {
     cfg: HydraConfig,
     groups: Vec<u32>,
@@ -338,7 +336,7 @@ impl HydraBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a CoMeT-style count-min-sketch tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CometConfig {
     /// Counters per hash row.
     pub width: usize,
@@ -403,7 +401,7 @@ impl CometConfig {
 /// assert_eq!(c.on_activate(3, Time::ZERO), Some(3));
 /// assert_eq!(c.estimate(3), 0); // restarted after the trigger
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CometBank {
     cfg: CometConfig,
     cells: Vec<u32>,
@@ -495,7 +493,7 @@ impl CometBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a MINT-style in-refresh mitigator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MintConfig {
     /// Seed of the reservoir sampler.
     pub seed: u64,
@@ -523,7 +521,7 @@ pub struct MintConfig {
 /// assert!(sampled == 10 || sampled == 20);
 /// assert!(m.take_sample().is_none()); // interval restarts
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MintBank {
     /// xorshift64* state.
     rng: u64,
@@ -573,7 +571,7 @@ impl MintBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a BlockHammer-style throttling filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockHammerConfig {
     /// Counters per hash row of each epoch sketch.
     pub width: usize,
@@ -649,7 +647,7 @@ impl BlockHammerConfig {
 /// let until = b.on_activate(5, Time::ZERO).unwrap();
 /// assert_eq!(until, Time::ZERO + Span::from_us(1));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockHammerBank {
     cfg: BlockHammerConfig,
     /// Two epoch sketches, `cells[epoch][depth × width]`.

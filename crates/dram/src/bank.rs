@@ -1,7 +1,5 @@
 //! Per-bank state machine and timing bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{Span, Time};
 use crate::timing::DramTiming;
 
@@ -11,7 +9,7 @@ use crate::timing::DramTiming;
 /// The bank does not validate commands by itself — the
 /// [`DramDevice`](crate::DramDevice) combines bank, rank and channel
 /// constraints and performs protocol checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Bank {
     open_row: Option<u32>,
     /// When the open row was activated (for RowPress dwell accounting).
@@ -111,22 +109,6 @@ impl Bank {
         debug_assert!(self.open_row.is_none(), "blocking a bank with an open row");
         self.blocked_until = self.blocked_until.max(until);
         self.next_act = self.next_act.max(until);
-    }
-
-    /// A conservative "all quiet" bound: the latest of every next-command
-    /// constraint. Used by schedulers to find the next decision point.
-    pub fn quiescent_at(&self) -> Time {
-        self.next_act
-            .max(self.next_pre)
-            .max(self.next_rd)
-            .max(self.next_wr)
-            .max(self.blocked_until)
-    }
-
-    /// Shifts the precharge constraint to account for an extra delay
-    /// (used in tests and custom policies).
-    pub fn delay_pre(&mut self, extra: Span) {
-        self.next_pre += extra;
     }
 }
 

@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::BankId;
 
 /// Scope of an RFM (refresh management) command.
@@ -12,7 +10,7 @@ use crate::geometry::BankId;
 /// preventive refreshes — this is exactly the property the LeakyHammer
 /// attacks observe (§5.2 of the paper: PRAC back-offs block the channel,
 /// RFM blocks the same bank across bank groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RfmScope {
     /// All banks of the rank are blocked (RFMab). Used for PRAC back-off
     /// recovery and FR-RFM.
@@ -44,7 +42,7 @@ impl fmt::Display for RfmScope {
 }
 
 /// A DRAM command as issued on the command bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// Open `row` in `bank`, loading it into the row buffer.
     Activate {

@@ -12,10 +12,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Counter (re)initialization policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterInit {
     /// Counters start at zero (plain PRAC).
     Zero,
@@ -66,7 +64,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// c.reset(0, 100);
 /// assert_eq!(c.value(0, 100), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowCounters {
     banks: Vec<HashMap<u32, u32>>,
     init: CounterInit,
@@ -83,11 +81,6 @@ impl RowCounters {
             seed,
             reset_nonce: 0,
         }
-    }
-
-    /// The configured initialization policy.
-    pub fn init_policy(&self) -> CounterInit {
-        self.init
     }
 
     /// Current counter value of `(bank, row)` (lazily initialized).
@@ -139,11 +132,6 @@ impl RowCounters {
         all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         all.truncate(k);
         all
-    }
-
-    /// Number of rows with materialized counters in `bank`.
-    pub fn touched_rows(&self, bank: usize) -> usize {
-        self.banks[bank].len()
     }
 
     /// The maximum counter value across the whole channel (0 if untouched).

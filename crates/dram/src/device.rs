@@ -15,8 +15,6 @@
 //! mis-modelling them, so controller bugs surface as [`DramError`]s in
 //! tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::Bank;
 use crate::command::{Command, RfmScope};
 use crate::counters::{CounterInit, RowCounters};
@@ -30,7 +28,7 @@ use crate::time::{Span, Time};
 use crate::timing::DramTiming;
 
 /// Result of issuing a command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IssueOutcome {
     /// For `RD`/`WR`: when the data burst completes.
     pub data_ready: Option<Time>,
@@ -39,7 +37,7 @@ pub struct IssueOutcome {
 }
 
 /// Configuration for [`DramDevice`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Shape of the device.
     pub geometry: Geometry,
@@ -96,7 +94,7 @@ impl Default for DeviceConfig {
 /// dev.issue(&act, at).unwrap();
 /// assert_eq!(dev.open_row(bank), Some(7));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DramDevice {
     config: DeviceConfig,
     banks: Vec<Bank>,

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks per-victim-row disturbance pressure for one channel.
 ///
 /// # Examples
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.pressure(0, 99), 0);
 /// assert_eq!(d.max_ever(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DisturbTracker {
     banks: Vec<HashMap<u32, u64>>,
     rows_per_bank: u32,
@@ -96,15 +94,6 @@ impl DisturbTracker {
                 self.max_ever = *e;
             }
         }
-    }
-
-    /// Records that `(bank, row)` itself was refreshed: its accumulated
-    /// pressure is annulled.
-    pub fn refresh_row(&mut self, bank: usize, row: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.banks[bank].remove(&row);
     }
 
     /// Records a preventive refresh of the victims of aggressor

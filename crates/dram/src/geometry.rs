@@ -6,8 +6,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 
 /// Cache-line size in bytes; columns are addressed at this granularity.
@@ -24,7 +22,7 @@ pub const LINE_BYTES: u64 = 64;
 /// assert_eq!(g.banks_per_rank(), 32);
 /// assert_eq!(g.banks_per_channel(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     channels: u32,
     ranks_per_channel: u32,
@@ -133,11 +131,6 @@ impl Geometry {
         self.banks_per_channel() as u64 * self.rows_per_bank as u64 * self.row_bytes()
     }
 
-    /// Total capacity in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.channels as u64 * self.channel_bytes()
-    }
-
     /// Flat index of a bank within its channel, in
     /// rank-major / bank-group / bank order.
     ///
@@ -194,9 +187,7 @@ impl Default for Geometry {
 }
 
 /// Coordinates of one DRAM bank.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BankId {
     /// Channel index.
     pub channel: u32,
@@ -231,9 +222,7 @@ impl fmt::Display for BankId {
 }
 
 /// A fully decoded DRAM location: bank, row and column.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DramAddr {
     /// The bank holding the row.
     pub bank: BankId,

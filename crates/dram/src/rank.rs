@@ -2,15 +2,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Time;
 use crate::timing::DramTiming;
 
 /// Rank-level timing state: the rolling four-activate window (tFAW),
 /// activate-to-activate spacing (tRRD_L/S) and rank-wide blocking caused by
 /// refresh or all-bank RFM.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankState {
     /// Issue times of the most recent activates (at most 4 retained).
     recent_acts: VecDeque<Time>,

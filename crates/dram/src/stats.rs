@@ -1,11 +1,9 @@
 //! Device-level statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Span;
 
 /// Counters maintained by [`DramDevice`](crate::DramDevice).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// ACT commands issued.
     pub activates: u64,

@@ -21,8 +21,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated timeline, in picoseconds since simulation
 /// start.
 ///
@@ -35,9 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(b > a);
 /// assert_eq!(b.as_ps(), 15_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 /// A duration on the simulated timeline, in picoseconds.
@@ -47,9 +43,7 @@ pub struct Time(u64);
 /// assert_eq!(Span::from_ns(3) * 4, Span::from_ns(12));
 /// assert_eq!(Span::from_us(1) / Span::from_ns(250), 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Span(u64);
 
 impl Time {

@@ -7,8 +7,6 @@
 //! back-offs), `tABO_ACT` = 180 ns (window of normal traffic after an
 //! alert), and an alert propagation delay of ≈5 ns after `PRE`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::time::Span;
 
@@ -23,7 +21,7 @@ use crate::time::Span;
 /// assert_eq!(t.t_rc, t.t_ras + t.t_rp);
 /// t.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Clock period.
     pub t_ck: Span,

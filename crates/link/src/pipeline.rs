@@ -6,8 +6,6 @@
 //! here knows which mechanism produces the observable maintenance
 //! events — only [`LinkTuning`] does, and it is data.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::ChannelResult;
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
@@ -26,7 +24,7 @@ use crate::sync::{Alignment, PreambleSync};
 /// defense: which latency band the preventive action lands in, how long
 /// a window must be, and whether both sides should stop touching the
 /// bank once the action fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkTuning {
     /// Transmission-window length.
     pub window: Span,
@@ -47,14 +45,18 @@ impl LinkTuning {
     /// The tuning an adaptive attacker uses against `kind`, mirroring
     /// the §12 per-class analysis:
     ///
-    /// * PRAC family — the multi-RFM back-off band, stop-on-detect;
+    /// * PRAC family — the multi-RFM back-off band, stop-on-detect (the
+    ///   paper's §6.3 configuration);
     /// * PRFM — the RFM band with the paper's `Trecv` = 3;
     /// * victim-refresh trackers (Graphene/Hydra/CoMeT/PARA) — the
-    ///   single-RFM band (an in-bank ACT+PRE pair per victim refresh);
+    ///   single-RFM band: an in-bank ACT+PRE pair per victim refresh
+    ///   lands above a plain conflict and below a periodic refresh;
     /// * FR-RFM / MINT / no defense — the attacker's best guess is the
-    ///   RFM band (there is nothing defense-triggered to see);
+    ///   RFM band (there is nothing defense-triggered to see; with no
+    ///   defense the band measures the bank-contention channel alone);
     /// * BlockHammer — the throttle *delay*, orders of magnitude above
-    ///   any DRAM latency, with a correspondingly longer window.
+    ///   any DRAM latency, with a window long enough that a stalled
+    ///   probe still completes inside it.
     pub fn for_defense(kind: DefenseKind, timing: &DramTiming, think: Span) -> LinkTuning {
         let cls = LatencyClassifier::from_timing(timing, think);
         match kind {
@@ -146,7 +148,7 @@ impl LinkConfig {
 }
 
 /// Everything one transmission produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkOutcome {
     /// The message bits handed to the codec.
     pub sent: Vec<u8>,

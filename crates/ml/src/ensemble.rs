@@ -2,13 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::tree::{DecisionTree, RegressionTree, TreeConfig};
 use crate::Classifier;
 
 /// Random forest: bagged CART trees with per-split feature subsampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     n_trees: usize,
     max_depth: usize,
@@ -73,7 +72,7 @@ impl Classifier for RandomForest {
 
 /// Gradient boosting: one-vs-rest logistic boosting with shallow
 /// regression trees fitting the residuals.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GradientBoosting {
     rounds: usize,
     depth: usize,
@@ -157,7 +156,7 @@ impl Classifier for GradientBoosting {
 }
 
 /// AdaBoost (SAMME) over shallow decision trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaBoost {
     rounds: usize,
     base_depth: usize,

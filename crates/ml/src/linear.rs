@@ -4,13 +4,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::ensemble::{argmax_f64, argmax_u32};
 use crate::Classifier;
 
 /// k-nearest neighbors (Euclidean distance, majority vote).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KNearest {
     k: usize,
     x: Vec<Vec<f64>>,
@@ -68,7 +67,7 @@ impl Classifier for KNearest {
 }
 
 /// One-vs-rest linear SVM trained with Pegasos-style hinge-loss SGD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvm {
     epochs: usize,
     lambda: f64,
@@ -136,7 +135,7 @@ impl Classifier for LinearSvm {
 }
 
 /// Multinomial (softmax) logistic regression trained with SGD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     epochs: usize,
     lr: f64,
@@ -201,7 +200,7 @@ impl Classifier for LogisticRegression {
 }
 
 /// The classic multiclass perceptron.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Perceptron {
     epochs: usize,
     seed: u64,

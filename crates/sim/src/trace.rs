@@ -4,12 +4,10 @@
 //! measurement loop observes — the in-simulation equivalent of the
 //! memorygram of §8 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 
 /// One measured loop iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySample {
     /// Timestamp at the *end* of the iteration (`m5_rpns()` analogue).
     pub at: Time,
@@ -18,7 +16,7 @@ pub struct LatencySample {
 }
 
 /// A sequence of latency samples with analysis helpers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyTrace {
     samples: Vec<LatencySample>,
 }

@@ -14,7 +14,6 @@ use core::any::Any;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use lh_dram::{BankId, DramAddr, Span, Time};
 use lh_memctrl::AddressMapping;
@@ -72,7 +71,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// One load phase of a website profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Share of the total load time this phase occupies.
     pub duration_share: f64,
@@ -87,7 +86,7 @@ pub struct Phase {
 }
 
 /// A deterministic per-site load profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebsiteProfile {
     /// Index into [`WEBSITES`].
     pub site: usize,
