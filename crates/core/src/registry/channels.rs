@@ -524,7 +524,9 @@ impl Job for TaxonomyJob {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        // The measured rows take their window, detection band and
+        // Trecv from `lh_link::LinkTuning::for_defense`.
+        crate::registry::link_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {

@@ -87,8 +87,9 @@ pub(crate) fn ml_fingerprint() -> String {
 }
 
 /// Fingerprint for jobs whose results flow through the `lh-link` link
-/// layer (the channel sweep and the refactored §6.3 multibit rows):
-/// editing `lh-link` invalidates these and only these.
+/// layer (the channel sweep, the refactored §6.3 multibit rows and the
+/// §12 taxonomy, whose attack tuning comes from `LinkTuning`): editing
+/// `lh-link` invalidates these and only these.
 pub(crate) fn link_fingerprint() -> String {
     let mut crates: Vec<&str> = SIM_CRATES.to_vec();
     crates.push("lh-link");
@@ -244,8 +245,8 @@ mod tests {
             .collect();
         assert_eq!(
             link_jobs,
-            vec!["multibit", "chansweep", "mitsweep"],
-            "exactly the link-layer channel jobs use link_fingerprint"
+            vec!["multibit", "taxonomy", "chansweep", "mitsweep"],
+            "exactly the jobs that reach lh-link use link_fingerprint"
         );
         for job in registry().jobs() {
             let fp = job.fingerprint();
